@@ -58,6 +58,8 @@ from .quadruples import Quadruple, build_complex, enumerate_quadruples, in_calC,
 from .rigidity import (
     InvalidPseudoIdentity,
     TriangleCertificationError,
+    Window,
+    check_window,
     construct_conjugation,
     family_to_obj,
     identity_data,
@@ -102,6 +104,16 @@ def _parse_span(text: str, flag: str) -> tuple[int, int]:
     if lo > hi:
         raise UsageError(f"{flag} window {text!r} is empty")
     return lo, hi
+
+
+def _parse_window(a_span: tuple[int, int], b_span: tuple[int, int]) -> Window:
+    """The --a/--b rectangle, which must be able to seed the conjugation sweep."""
+    window = (a_span[0], a_span[1], b_span[0], b_span[1])
+    try:
+        check_window(window)
+    except ValueError as exc:
+        raise UsageError(f"--a/--b: {exc}") from None
+    return window
 
 
 def _parse_point(spec: AlgebraSpec, text: str):
@@ -332,16 +344,9 @@ def _suite_triangles(spec: AlgebraSpec, a_span, b_span) -> dict:
     return {"name": "triangles", "checks": checks, "failures": failures}
 
 
-def _suite_rigidity(spec: AlgebraSpec, a_span, b_span, seed: int) -> dict:
-    window = (a_span[0], a_span[1], b_span[0], b_span[1])
+def _suite_rigidity(spec: AlgebraSpec, window: Window, seed: int) -> dict:
     checks = 0
     failures = []
-    if not (a_span[0] <= 0 <= a_span[1]) or b_span[1] < 0:
-        return {
-            "name": "rigidity",
-            "checks": 0,
-            "failures": ["window cannot seed the construction (needs a = 0 and b >= 0)"],
-        }
     ident = identity_data(spec, window)
     checks += 1
     if construct_conjugation(ident) != identity_family(spec, ident.vertices()):
@@ -367,6 +372,7 @@ def cmd_verify(spec: AlgebraSpec, args: argparse.Namespace) -> int:
     k_span = _parse_span(args.k, "--k")
     a_span = _parse_span(args.a, "--a")
     b_span = _parse_span(args.b, "--b")
+    window = _parse_window(a_span, b_span)
     if args.l < 0:
         raise UsageError("--l must be nonnegative")
     if args.inject_fault:
@@ -381,7 +387,7 @@ def cmd_verify(spec: AlgebraSpec, args: argparse.Namespace) -> int:
         suites.append(_suite_suspension(spec, a_span, b_span))
         suites.append(_suite_irreducibles(spec, a_span, b_span))
         suites.append(_suite_triangles(spec, a_span, b_span))
-        suites.append(_suite_rigidity(spec, a_span, b_span, args.seed))
+        suites.append(_suite_rigidity(spec, window, args.seed))
     finally:
         if args.inject_fault:
             basismaps._FAULT = None
@@ -458,7 +464,7 @@ def cmd_ar_export(spec: AlgebraSpec, args: argparse.Namespace) -> int:
 def cmd_rigidity_check(spec: AlgebraSpec, args: argparse.Namespace) -> int:
     a_span = _parse_span(args.a, "--a")
     b_span = _parse_span(args.b, "--b")
-    window = (a_span[0], a_span[1], b_span[0], b_span[1])
+    window = _parse_window(a_span, b_span)
     instances = []
     family_obj = None
     if args.input is not None:

@@ -876,7 +876,11 @@ def complex_from_obj(obj: dict) -> ProjComplex:
                 cells.append(acc)
             mat.append(tuple(cells))
         diffs[i] = tuple(mat)
-    return ProjComplex(spec, summands, diffs)
+    c = ProjComplex(spec, summands, diffs)
+    problem = validate_complex(c)
+    if problem is not None:
+        raise ValueError(f"malformed complex: {problem}")
+    return c
 
 
 def dumps_complex(c: ProjComplex) -> str:

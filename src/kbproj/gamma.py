@@ -50,24 +50,36 @@ def check_vertex(spec: AlgebraSpec, v: GammaVertex) -> None:
         raise ValueError(f"{tuple(v)} is not a vertex for (n,m)=({spec.n},{spec.m})")
 
 
+def _in_F(spec: AlgebraSpec, base: GammaVertex, x: GammaVertex) -> bool:
+    """``in_F`` for vertices already known to be valid."""
+    i, a, b = base
+    j, xa, xb = x
+    return j == i and a <= xa <= b + _delta_top(spec, i) and xb >= b
+
+
+def _in_G(spec: AlgebraSpec, base: GammaVertex, x: GammaVertex) -> bool:
+    """``in_G`` for vertices already known to be valid."""
+    i, a, b = base
+    j, xa, xb = x
+    return (
+        j == (i + 1) % spec.n
+        and xa <= a + _delta_last(spec, i)
+        and a <= xb <= b + _delta_top(spec, i)
+    )
+
+
 def in_F(spec: AlgebraSpec, base: GammaVertex, x: GammaVertex) -> bool:
     """Whether ``x`` lies in the forward cone of ``base``."""
     check_vertex(spec, base)
     check_vertex(spec, x)
-    i, a, b = base
-    return x.i == i and a <= x.a <= b + _delta_top(spec, i) and x.b >= b
+    return _in_F(spec, base, x)
 
 
 def in_G(spec: AlgebraSpec, base: GammaVertex, x: GammaVertex) -> bool:
     """Whether ``x`` lies in the deep cone of ``base``."""
     check_vertex(spec, base)
     check_vertex(spec, x)
-    i, a, b = base
-    return (
-        x.i == (i + 1) % spec.n
-        and x.a <= a + _delta_last(spec, i)
-        and a <= x.b <= b + _delta_top(spec, i)
-    )
+    return _in_G(spec, base, x)
 
 
 def gamma_hom_dim(spec: AlgebraSpec, source: GammaVertex, target: GammaVertex) -> int:
@@ -78,8 +90,31 @@ def gamma_hom_dim(spec: AlgebraSpec, source: GammaVertex, target: GammaVertex) -
 class GammaHom:
     """A morphism in normal form: f_coeff * f + g_coeff * g.
 
-    The coefficient of a generator may be nonzero only when that
-    generator exists for the (source, target) pair.
+    Invariant: source and target are vertices for spec, both
+    coefficients are Fractions, and a coefficient is nonzero only when
+    its generator exists for the (source, target) pair (``in_F`` for f,
+    ``in_G`` for g).
+
+    The public constructor enforces the invariant on every call, and so
+    does everything built on it: ``hom_f``, ``hom_g``, ``zero_hom``,
+    ``identity_hom``, the suspension maps and the loaders
+    (``rigidity.pseudo_identity_from_obj``).  Morphisms enter the
+    package only through these.
+
+    A few internal operations build their result with the trusted
+    constructor ``_trusted_hom``, which checks nothing, because the
+    invariant holds for the output whenever it holds for the inputs:
+
+    - ``gamma_compose`` keeps the outer endpoints of two valid, composable
+      morphisms and sets each coefficient only after testing its cone;
+    - ``invert_hom`` keeps the endpoints, and each inverse coefficient is
+      nonzero only where the input coefficient was;
+    - ``hom_add`` (same algebra and endpoints) and ``hom_scale`` (after
+      coercing the scalar to a Fraction) make a coefficient nonzero only
+      where some input coefficient was;
+    - ``rigidity._generator_hom`` builds the generator named by a key of
+      ``rigidity.generator_keys``, which listed the key only after
+      checking its vertices and its cone.
     """
 
     spec: AlgebraSpec
@@ -93,13 +128,36 @@ class GammaHom:
         object.__setattr__(self, "g_coeff", Fraction(self.g_coeff))
         check_vertex(self.spec, self.source)
         check_vertex(self.spec, self.target)
-        if self.f_coeff != 0 and not in_F(self.spec, self.source, self.target):
+        if self.f_coeff and not _in_F(self.spec, self.source, self.target):
             raise ValueError(f"no f generator {tuple(self.source)} -> {tuple(self.target)}")
-        if self.g_coeff != 0 and not in_G(self.spec, self.source, self.target):
+        if self.g_coeff and not _in_G(self.spec, self.source, self.target):
             raise ValueError(f"no g generator {tuple(self.source)} -> {tuple(self.target)}")
 
     def is_zero(self) -> bool:
-        return self.f_coeff == 0 and self.g_coeff == 0
+        return not self.f_coeff and not self.g_coeff
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _trusted_hom(
+    spec: AlgebraSpec,
+    source: GammaVertex,
+    target: GammaVertex,
+    f_coeff: Fraction,
+    g_coeff: Fraction,
+) -> GammaHom:
+    """A GammaHom from fields that already satisfy its invariant; no coercion, no checks."""
+    # Setting the fields one by one, as the dataclass __init__ does, keeps
+    # the compact per-instance attribute storage that h.__dict__ would undo.
+    h = object.__new__(GammaHom)
+    object.__setattr__(h, "spec", spec)
+    object.__setattr__(h, "source", source)
+    object.__setattr__(h, "target", target)
+    object.__setattr__(h, "f_coeff", f_coeff)
+    object.__setattr__(h, "g_coeff", g_coeff)
+    return h
 
 
 def hom_f(spec: AlgebraSpec, source: GammaVertex, target: GammaVertex) -> GammaHom:
@@ -119,14 +177,18 @@ def identity_hom(spec: AlgebraSpec, v: GammaVertex) -> GammaHom:
 
 
 def hom_add(h1: GammaHom, h2: GammaHom) -> GammaHom:
+    if h1.spec != h2.spec:
+        raise ValueError("morphisms from different algebras")
     if h1.source != h2.source or h1.target != h2.target:
         raise ValueError("cannot add morphisms with different endpoints")
-    return GammaHom(h1.spec, h1.source, h1.target, h1.f_coeff + h2.f_coeff, h1.g_coeff + h2.g_coeff)
+    return _trusted_hom(
+        h1.spec, h1.source, h1.target, h1.f_coeff + h2.f_coeff, h1.g_coeff + h2.g_coeff
+    )
 
 
 def hom_scale(h: GammaHom, coeff) -> GammaHom:
     c = Fraction(coeff)
-    return GammaHom(h.spec, h.source, h.target, c * h.f_coeff, c * h.g_coeff)
+    return _trusted_hom(h.spec, h.source, h.target, c * h.f_coeff, c * h.g_coeff)
 
 
 def gamma_compose(second: GammaHom, first: GammaHom) -> GammaHom:
@@ -134,20 +196,27 @@ def gamma_compose(second: GammaHom, first: GammaHom) -> GammaHom:
 
     The f-part composes to the f generator when it exists, the mixed
     f/g products compose to the g generator when it exists, and the
-    g/g product always vanishes.
+    g/g product always vanishes.  Products with a zero factor are
+    skipped, and a cone is tested only for a nonzero coefficient.
     """
-    if first.spec != second.spec:
+    spec = first.spec
+    if spec is not second.spec and spec != second.spec:
         raise ValueError("morphisms from different algebras")
     if first.target != second.source:
         raise ValueError("morphisms are not composable")
-    spec = first.spec
-    f_coeff = Fraction(0)
-    if in_F(spec, first.source, second.target):
-        f_coeff = first.f_coeff * second.f_coeff
-    g_coeff = Fraction(0)
-    if in_G(spec, first.source, second.target):
-        g_coeff = first.f_coeff * second.g_coeff + first.g_coeff * second.f_coeff
-    return GammaHom(spec, first.source, second.target, f_coeff, g_coeff)
+    source, target = first.source, second.target
+    f1, g1, f2, g2 = first.f_coeff, first.g_coeff, second.f_coeff, second.g_coeff
+    f_coeff = _ZERO
+    if f1 and f2 and _in_F(spec, source, target):
+        f_coeff = f1 * f2
+    g_coeff = _ZERO
+    if f1 and g2:
+        g_coeff = f1 * g2
+    if g1 and f2:
+        g_coeff = g_coeff + g1 * f2 if g_coeff else g1 * f2
+    if g_coeff and not _in_G(spec, source, target):
+        g_coeff = _ZERO
+    return _trusted_hom(spec, source, target, f_coeff, g_coeff)
 
 
 def is_isomorphism(h: GammaHom) -> bool:
@@ -161,8 +230,9 @@ def invert_hom(h: GammaHom) -> GammaHom:
     """
     if not is_isomorphism(h):
         raise ValueError("morphism is not invertible")
-    lam = h.f_coeff
-    return GammaHom(h.spec, h.source, h.target, 1 / lam, -h.g_coeff / lam**2)
+    inverse = _ONE / h.f_coeff
+    g_coeff = -h.g_coeff * inverse * inverse if h.g_coeff else _ZERO
+    return _trusted_hom(h.spec, h.source, h.target, inverse, g_coeff)
 
 
 def radical_degree(h: GammaHom):

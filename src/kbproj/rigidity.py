@@ -65,8 +65,13 @@ from .complexes import (
     shift,
 )
 from .gamma import (
+    _ONE,
+    _ZERO,
     GammaHom,
     GammaVertex,
+    _in_F,
+    _in_G,
+    _trusted_hom,
     check_vertex,
     gamma_compose,
     hom_f,
@@ -141,19 +146,24 @@ def generator_keys(
 ) -> tuple[tuple[str, GammaVertex, GammaVertex], ...]:
     """Every basis morphism between window vertices, as (kind, source, target)."""
     vset = sorted(vertices)
+    for v in vset:
+        check_vertex(spec, v)
     out = []
     for source in vset:
         for target in vset:
-            if in_F(spec, source, target):
+            if _in_F(spec, source, target):
                 out.append(("f", source, target))
-            if in_G(spec, source, target):
+            if _in_G(spec, source, target):
                 out.append(("g", source, target))
     return tuple(out)
 
 
 def _generator_hom(spec: AlgebraSpec, key: tuple[str, GammaVertex, GammaVertex]) -> GammaHom:
+    """The generator named by a key of generator_keys, which already checked its cone."""
     kind, source, target = key
-    return hom_f(spec, source, target) if kind == "f" else hom_g(spec, source, target)
+    if kind == "f":
+        return _trusted_hom(spec, source, target, _ONE, _ZERO)
+    return _trusted_hom(spec, source, target, _ZERO, _ONE)
 
 
 # -- Pseudo-identity data ------------------------------------------------------
@@ -222,11 +232,12 @@ def conjugation_data(
     every shifted-projective vertex.
     """
     domain = conjugation_domain(spec, window)
+    inverses = {v: invert_hom(unit_family[v]) for v in domain}
     images = []
     for key in generator_keys(spec, domain):
         kind, source, target = key
         h = _generator_hom(spec, key)
-        image = gamma_compose(unit_family[target], gamma_compose(h, invert_hom(unit_family[source])))
+        image = gamma_compose(unit_family[target], gamma_compose(h, inverses[source]))
         images.append((key, image))
     return PseudoIdentityData(spec, window, tuple(images))
 

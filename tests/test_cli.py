@@ -235,3 +235,16 @@ def test_rigidity_check_algebra_mismatch(capsys, tmp_path):
     )
     assert code == 2
     assert "match" in err
+
+
+@pytest.mark.parametrize("command", ["rigidity-check", "verify"])
+@pytest.mark.parametrize(
+    "a, b, reason",
+    [("1:2", "-2:2", "a = 0"), ("-2:-1", "-2:2", "a = 0"), ("-2:2", "-3:-1", "b = 0")],
+)
+def test_window_that_cannot_seed_is_a_usage_error(capsys, command, a, b, reason):
+    code, out, err = run(capsys, "--algebra", "1,0", command, "--a", a, "--b", b)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --a/--b:")
+    assert reason in err

@@ -222,6 +222,25 @@ def test_serialization_round_trip(spec):
         assert dumps_complex(again) == dumps_complex(c)
 
 
+@pytest.mark.parametrize(
+    "degrees, differentials, problem",
+    [
+        # L(1,0) has the single quiver vertex 0
+        ('{"0":[5]}', "{}", "summand vertex 5 not in the algebra"),
+        ('{"0":[0],"1":[-1]}', "{}", "summand vertex -1 not in the algebra"),
+        # a differential out of degree 0 with no summand in degree 1
+        ('{"0":[0]}', '{"0":[[[[[0],1,1]]]]}', "differential shape"),
+    ],
+)
+def test_loader_rejects_malformed_complexes(degrees, differentials, problem):
+    text = (
+        '{"schema_version":1,"algebra":[1,0],'
+        f'"degrees":{degrees},"differentials":{differentials}}}'
+    )
+    with pytest.raises(ValueError, match=problem):
+        loads_complex(text)
+
+
 def test_zero_complex_edge_cases():
     spec = AlgebraSpec(2, 1)
     z = zero_complex(spec)

@@ -124,6 +124,21 @@ def test_normal_form_rejects_missing_generators():
     GammaHom(spec, v, u, Fraction(0), Fraction(1))  # second kind exists
 
 
+def test_sums_and_composites_reject_mixed_algebras():
+    loop, tailed = AlgebraSpec(1, 0), AlgebraSpec(1, 1)
+    s, t = GammaVertex(0, 0, 0), GammaVertex(0, 0, 1)
+    # the g generator exists over L(1,1) only, so a sum taken under
+    # either algebra would carry a coefficient the other cannot hold
+    assert in_G(tailed, s, t) and not in_G(loop, s, t)
+    plain = GammaHom(loop, s, t, Fraction(0), Fraction(0))
+    deep = GammaHom(tailed, s, t, Fraction(0), Fraction(1))
+    for h1, h2 in ((plain, deep), (deep, plain)):
+        with pytest.raises(ValueError, match="different algebras"):
+            hom_add(h1, h2)
+    with pytest.raises(ValueError, match="different algebras"):
+        gamma_compose(deep, identity_hom(loop, s))
+
+
 def test_isomorphisms_and_inverses():
     spec = AlgebraSpec(1, 0)
     v = GammaVertex(0, 0, 1)
