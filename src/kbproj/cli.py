@@ -475,6 +475,7 @@ def cmd_rigidity_check(spec: AlgebraSpec, args: argparse.Namespace) -> int:
             raise UsageError(f"cannot load pseudo-identity data: {exc}") from None
         if data.spec != spec:
             raise UsageError("data algebra does not match --algebra")
+        window = data.window
         entry = {"source": args.input, "violations": validate_pseudo_identity(data)[:10]}
         if not entry["violations"]:
             try:
@@ -521,7 +522,7 @@ def cmd_rigidity_check(spec: AlgebraSpec, args: argparse.Namespace) -> int:
     obj = {
         "schema": SCHEMA_VERSION,
         "algebra": [spec.n, spec.m],
-        "window": {"a": list(a_span), "b": list(b_span)},
+        "window": {"a": list(window[:2]), "b": list(window[2:])},
         "seed": args.seed,
         "instances": instances,
         "ok": ok,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import random
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,17 +29,24 @@ from .algebra import (
 )
 from .linalg import SpanSolver, nullspace, rank
 
-# Caches are keyed by structural keys and guarded by a lock; set to True to
-# force every query to solve from scratch (e.g. when sharing specs across
-# threads is off the table anyway and memory matters more than speed).
-DISABLE_CACHE = False
-_CACHE_LOCK = threading.Lock()
-_HOMOTOPY_SOLVERS: dict = {}
+# Every per-process memo table of the package, by name.  Tables hold only
+# results of pure functions of their keys, so emptying them changes no
+# answer, only the time the next query takes.
+_MEMO_TABLES: dict[str, dict] = {}
+
+
+def memo_table(name: str) -> dict:
+    """The memo table registered under ``name``, created empty on first use."""
+    return _MEMO_TABLES.setdefault(name, {})
 
 
 def clear_caches() -> None:
-    with _CACHE_LOCK:
-        _HOMOTOPY_SOLVERS.clear()
+    """Empty every registered memo table."""
+    for table in _MEMO_TABLES.values():
+        table.clear()
+
+
+_HOMOTOPY_SOLVERS = memo_table("complexes.homotopy_solver")
 
 
 Matrix = tuple[tuple[PathCombination, ...], ...]
@@ -293,9 +299,12 @@ def validate_chain_map(f: ChainMap) -> str | None:
                             f"degree {i}: component ({r},{col}) path runs "
                             f"{path.start}->{path.end}, expected {rows[r]}->{cols[col]}"
                         )
+    comps = f.components
     lo = min(list(f.source.summands) + list(f.target.summands), default=0)
     hi = max(list(f.source.summands) + list(f.target.summands), default=0)
     for i in range(lo, hi + 1):
+        if i not in comps and i + 1 not in comps:
+            continue  # both sides of the square pass through a zero component
         lhs = mat_mul(spec, f.target.diff(i), f.component(i))
         rhs = mat_mul(spec, f.component(i + 1), f.source.diff(i))
         # zero-row/zero-column products collapse to (), so compare up to zero
@@ -310,8 +319,9 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
         raise ValueError("chain maps do not compose: middle complexes differ")
     spec = f.source.spec
     comps = {}
-    for i in set(f.components) | set(g.components):
-        mat = mat_mul(spec, g.component(i), f.component(i))
+    # a degree missing from either map has a zero product
+    for i in f.components.keys() & g.components.keys():
+        mat = mat_mul(spec, g.components[i], f.components[i])
         if not mat_is_zero(mat):
             comps[i] = mat
     return ChainMap(f.source, g.target, comps)
@@ -320,16 +330,22 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
 def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     comps = {}
     for i in set(f.components) | set(g.components):
-        mat = mat_add(f.component(i), g.component(i))
+        if i not in g.components:
+            mat = f.components[i]
+        elif i not in f.components:
+            mat = g.components[i]
+        else:
+            mat = mat_add(f.components[i], g.components[i])
         if not mat_is_zero(mat):
             comps[i] = mat
     return ChainMap(f.source, f.target, comps)
 
 
 def scale_chain_map(f: ChainMap, coeff) -> ChainMap:
-    comps = {i: mat_scale(m, coeff) for i, m in f.components.items()}
-    if not Fraction(coeff):
-        comps = {}
+    coeff = Fraction(coeff)
+    if coeff == 1:
+        return f
+    comps = {i: mat_scale(m, coeff) for i, m in f.components.items()} if coeff else {}
     return ChainMap(f.source, f.target, comps)
 
 
@@ -591,19 +607,15 @@ def _map_vector(f: ChainMap, findex) -> dict[int, Fraction]:
 
 def _homotopy_solver(c: ProjComplex, d: ProjComplex):
     cache_key = (c.key(), d.key())
-    if not DISABLE_CACHE:
-        with _CACHE_LOCK:
-            hit = _HOMOTOPY_SOLVERS.get(cache_key)
-        if hit is not None:
-            return hit
+    hit = _HOMOTOPY_SOLVERS.get(cache_key)
+    if hit is not None:
+        return hit
     fvars, findex = _hom_variables(c, d, 0)
     solver = SpanSolver()
     for img in _homotopy_images(c, d, findex):
         solver.add_generator(img)
     result = (solver, findex)
-    if not DISABLE_CACHE:
-        with _CACHE_LOCK:
-            _HOMOTOPY_SOLVERS[cache_key] = result
+    _HOMOTOPY_SOLVERS[cache_key] = result
     return result
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .algebra import AlgebraSpec
 from .basismaps import in_phi, in_psi, phi_map, psi_map
-from .complexes import ChainMap, add_chain_maps, scale_chain_map, zero_chain_map
+from .complexes import ChainMap, add_chain_maps, memo_table, scale_chain_map, zero_chain_map
 from .quadruples import Quadruple, build_complex, in_calC
 
 
@@ -38,6 +38,13 @@ def _delta_top(spec: AlgebraSpec, i: int) -> int:
 def _delta_last(spec: AlgebraSpec, i: int) -> int:
     """m if i is the last sheet n-1, else 0."""
     return spec.m if i == spec.n - 1 else 0
+
+
+def _as_vertex(v) -> GammaVertex:
+    """``v`` as a GammaVertex; ValueError unless it is a triple of ints."""
+    if not (isinstance(v, tuple) and len(v) == 3 and all(type(x) is int for x in v)):
+        raise ValueError(f"{v!r} is not a vertex triple (i, a, b) of ints")
+    return v if type(v) is GammaVertex else GammaVertex(*v)
 
 
 def is_vertex(spec: AlgebraSpec, v: GammaVertex) -> bool:
@@ -90,10 +97,11 @@ def gamma_hom_dim(spec: AlgebraSpec, source: GammaVertex, target: GammaVertex) -
 class GammaHom:
     """A morphism in normal form: f_coeff * f + g_coeff * g.
 
-    Invariant: source and target are vertices for spec, both
-    coefficients are Fractions, and a coefficient is nonzero only when
-    its generator exists for the (source, target) pair (``in_F`` for f,
-    ``in_G`` for g).
+    Invariant: source and target are GammaVertex triples of ints that
+    are vertices for spec, both coefficients are Fractions, and a
+    coefficient is nonzero only when its generator exists for the
+    (source, target) pair (``in_F`` for f, ``in_G`` for g).  The
+    constructor turns plain int triples into GammaVertex.
 
     The public constructor enforces the invariant on every call, and so
     does everything built on it: ``hom_f``, ``hom_g``, ``zero_hom``,
@@ -124,6 +132,8 @@ class GammaHom:
     g_coeff: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "source", _as_vertex(self.source))
+        object.__setattr__(self, "target", _as_vertex(self.target))
         object.__setattr__(self, "f_coeff", Fraction(self.f_coeff))
         object.__setattr__(self, "g_coeff", Fraction(self.g_coeff))
         check_vertex(self.spec, self.source)
@@ -365,8 +375,26 @@ def theta_vertex(spec: AlgebraSpec, v: GammaVertex) -> Quadruple:
     return quad
 
 
+_THETA_HOMS = memo_table("gamma.theta_hom")
+
+
 def theta_hom(h: GammaHom) -> ChainMap:
-    """Chain-map realization of a morphism, generator by generator."""
+    """Chain-map realization of a morphism, generator by generator.
+
+    Results are memoized per process on the morphism's fields (spec,
+    source, target and both coefficients): equal morphisms get the same
+    chain map object, whose source and target are the shared complexes
+    of ``build_complex``, so callers must not mutate it.
+    ``complexes.clear_caches()`` empties the memo.
+    """
+    key = (h.spec, h.source, h.target, h.f_coeff, h.g_coeff)
+    chain = _THETA_HOMS.get(key)
+    if chain is None:
+        chain = _THETA_HOMS[key] = _theta_hom(h)
+    return chain
+
+
+def _theta_hom(h: GammaHom) -> ChainMap:
     spec = h.spec
     q_source = theta_vertex(spec, h.source)
     q_target = theta_vertex(spec, h.target)

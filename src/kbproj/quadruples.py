@@ -23,7 +23,7 @@ from .algebra import (
     stationary_path,
     successor_power,
 )
-from .complexes import Matrix, ProjComplex, mat_zero
+from .complexes import Matrix, ProjComplex, mat_zero, memo_table
 
 
 class Quadruple(NamedTuple):
@@ -65,13 +65,28 @@ def chain_tail_positions(spec: AlgebraSpec, q: Quadruple, i: int) -> tuple[int |
     return chain, tail
 
 
+_COMPLEXES = memo_table("quadruples.build_complex")
+
+
 def build_complex(spec: AlgebraSpec, q: Quadruple) -> ProjComplex:
     """The minimal complex named by the quadruple.
 
     Chain summands carry maximal-path differentials; the tail summand
     (present when v differs from the top of the successor orbit) maps in
     by the factor path of the top vertex.
+
+    Results are memoized per process on ``(spec, q)``: every caller asking
+    for the same quadruple gets the same object, so callers must not
+    mutate it.  ``complexes.clear_caches()`` empties the memo.
     """
+    key = (spec, Quadruple(*q))
+    c = _COMPLEXES.get(key)
+    if c is None:
+        c = _COMPLEXES[key] = _build_complex(spec, key[1])
+    return c
+
+
+def _build_complex(spec: AlgebraSpec, q: Quadruple) -> ProjComplex:
     _check_member(spec, q)
     k, u, l, v = q
     top = successor_power(spec, u, l)

@@ -1,0 +1,151 @@
+"""Per-process memos of the chain-level constructors, and the degree skips.
+
+``build_complex``, ``theta_hom`` and the homotopy solvers keep their
+results in memo tables registered in ``complexes``; ``clear_caches``
+empties them all.  A memoized object is shared by every caller, so these
+tests check that nothing changes one after it was stored, that a warm
+memo gives the same reports as a cold one, and that a fault toggled
+between two runs is not hidden by results of the first.  The last tests
+check that ``validate_chain_map``, which skips degrees where the map has
+no component on either side of the square, still finds every failure.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from kbproj import complexes
+from kbproj.algebra import AlgebraSpec, Path, PathCombination
+from kbproj.cli import _suite_functoriality, main
+from kbproj.complexes import (
+    clear_caches,
+    is_null_homotopic,
+    make_chain_map,
+    mat_is_zero,
+    mat_mul,
+    memo_table,
+    stalk_complex,
+    validate_chain_map,
+)
+from kbproj.gamma import GammaHom, theta_hom
+from kbproj.quadruples import Quadruple, build_complex
+
+L21 = AlgebraSpec(2, 1)
+TABLES = ("complexes.homotopy_solver", "quadruples.build_complex", "gamma.theta_hom")
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def verify_json(capsys, *extra) -> tuple[int, str]:
+    code = main(["--algebra", "2,1", "verify", "--format", "json", *extra])
+    return code, capsys.readouterr().out
+
+
+def test_memoized_objects_match_fresh_rebuilds():
+    report = _suite_functoriality(L21, (-2, 2), (-2, 2))
+    assert report["checks"] > 0 and report["failures"] == []
+    stored_complexes = dict(memo_table("quadruples.build_complex"))
+    stored_maps = dict(memo_table("gamma.theta_hom"))
+    assert stored_complexes and stored_maps
+    clear_caches()
+    for (spec, q), c in stored_complexes.items():
+        fresh = build_complex(spec, q)
+        assert fresh is not c
+        assert c.key() == fresh.key()
+        assert c == fresh
+    clear_caches()
+    for (spec, source, target, f, g), chain in stored_maps.items():
+        fresh = theta_hom(GammaHom(spec, source, target, f, g))
+        assert fresh is not chain
+        assert chain.key() == fresh.key()
+        assert chain.source.key() == fresh.source.key()
+        assert chain.target.key() == fresh.target.key()
+        assert chain == fresh
+
+
+def test_build_complex_memo_is_keyed_on_the_quadruple_values():
+    c = build_complex(L21, Quadruple(0, 0, 1, 1))
+    assert build_complex(L21, (0, 0, 1, 1)) is c
+    assert build_complex(AlgebraSpec(2, 1), Quadruple(0, 0, 1, 1)) is c
+    assert build_complex(L21, Quadruple(1, 0, 1, 1)) is not c
+
+
+def test_clear_caches_empties_every_registered_table():
+    _suite_functoriality(L21, (-1, 1), (-1, 1))
+    registry = complexes._MEMO_TABLES
+    assert set(TABLES) <= set(registry)
+    assert all(registry[name] for name in TABLES)
+    clear_caches()
+    assert all(not table for table in registry.values())
+
+
+def test_verify_json_is_identical_on_cold_and_warm_caches(capsys):
+    cold_code, cold = verify_json(capsys)
+    assert any(memo_table(name) for name in TABLES)
+    warm_code, warm = verify_json(capsys)
+    assert cold_code == warm_code == 0
+    assert cold == warm
+
+
+def test_fault_after_clean_run_is_still_caught(capsys):
+    window = ("--k", "0:1", "--l", "1", "--a", "-2:0", "--b", "-2:0", "--oracle", "off")
+    code, _ = verify_json(capsys, *window)
+    assert code == 0
+    assert memo_table("gamma.theta_hom")
+    code, out = verify_json(capsys, *window, "--inject-fault", "psi-sign")
+    assert code == 1
+    report = json.loads(out)
+    functoriality = next(s for s in report["suites"] if s["name"] == "functoriality")
+    assert functoriality["failures"]
+    code, out = verify_json(capsys, *window)
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+# -- Degrees skipped by validate_chain_map ------------------------------------
+
+
+def _unit(vertex: int):
+    return ((PathCombination.of(Path(vertex, ())),),)
+
+
+def _failing_degrees(f) -> list[int]:
+    """Every degree whose square fails, multiplying at all degrees, skipping none."""
+    spec = f.source.spec
+    degrees = set(f.source.summands) | set(f.target.summands)
+    out = []
+    for i in range(min(degrees), max(degrees) + 1):
+        lhs = mat_mul(spec, f.target.diff(i), f.component(i))
+        rhs = mat_mul(spec, f.component(i + 1), f.source.diff(i))
+        if lhs != rhs and not (mat_is_zero(lhs) and mat_is_zero(rhs)):
+            out.append(i)
+    return out
+
+
+def test_single_component_failing_below_its_degree_is_reported():
+    # P_0 -> P_1 in degrees 0, 1, mapped onto the stalk P_1 in degree 1:
+    # the square at degree 1 is zero on both sides, the one at 0 is not.
+    source = build_complex(L21, Quadruple(0, 0, 1, 1))
+    f = make_chain_map(source, stalk_complex(L21, 1, 1), {1: _unit(1)})
+    assert _failing_degrees(f) == [0]
+    assert validate_chain_map(f) == "degree 0: does not commute with the differentials"
+    with pytest.raises(ValueError, match="not a chain map"):
+        is_null_homotopic(f)
+
+
+def test_single_component_failing_at_its_degree_is_reported():
+    # The stalk P_0 in degree 1 mapped into P_0 -> P_1 in degrees 1, 2:
+    # the square at degree 0 is zero on both sides, the one at 1 is not.
+    target = build_complex(L21, Quadruple(1, 0, 1, 1))
+    f = make_chain_map(stalk_complex(L21, 0, 1), target, {1: _unit(0)})
+    assert _failing_degrees(f) == [1]
+    assert validate_chain_map(f) == "degree 1: does not commute with the differentials"
+    with pytest.raises(ValueError, match="not a chain map"):
+        is_null_homotopic(f)

@@ -29,6 +29,7 @@ from kbproj.gamma import (
     in_G,
     invert_hom,
     is_vertex,
+    radical_degree,
 )
 from kbproj.rigidity import (
     _generator_hom,
@@ -156,6 +157,26 @@ def test_constructor_rejects_non_vertices(spec):
             GammaHom(spec, bad, v, Fraction(0), Fraction(0))
         with pytest.raises(ValueError, match="not a vertex"):
             GammaHom(spec, v, bad, Fraction(0), Fraction(0))
+
+
+def test_constructor_coerces_plain_tuple_endpoints():
+    spec = AlgebraSpec(1, 0)
+    h = GammaHom(spec, (0, 0, 0), (0, 0, 1), 1, 0)
+    assert type(h.source) is GammaVertex and type(h.target) is GammaVertex
+    assert h == hom_f(spec, GammaVertex(0, 0, 0), GammaVertex(0, 0, 1))
+    assert radical_degree(h) == 1
+
+
+@pytest.mark.parametrize(
+    "bad", [(0, 0), (0, 0, 0, 0), [0, 0, 0], (0, 0.0, 0), (0, "0", 0), (True, 0, 0), None]
+)
+def test_constructor_rejects_non_triples(bad):
+    spec = AlgebraSpec(1, 0)
+    v = GammaVertex(0, 0, 0)
+    with pytest.raises(ValueError, match="not a vertex triple"):
+        GammaHom(spec, bad, v, Fraction(0), Fraction(0))
+    with pytest.raises(ValueError, match="not a vertex triple"):
+        GammaHom(spec, v, bad, Fraction(0), Fraction(0))
 
 
 @pytest.mark.parametrize("spec", ALGEBRAS, ids=ALGEBRA_IDS)
