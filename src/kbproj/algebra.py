@@ -18,7 +18,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import wraps
+from typing import Iterable, Iterator, NamedTuple
+
+from .linalg import add_entry
+
+# Every per-process memo table of the package, by name.  Tables hold only
+# results of pure functions of their keys, so emptying them changes no
+# answer, only the time the next query takes.
+_MEMO_TABLES: dict[str, dict] = {}
+
+
+def memo_table(name: str) -> dict:
+    """The memo table registered under ``name``, created empty on first use."""
+    return _MEMO_TABLES.setdefault(name, {})
+
+
+def clear_caches() -> None:
+    """Empty every registered memo table."""
+    for table in _MEMO_TABLES.values():
+        table.clear()
+
+
+def memoized(name: str):
+    """Memoize a function of hashable arguments in the table ``name``."""
+    table = memo_table(name)
+
+    def decorate(fn):
+        @wraps(fn)
+        def cached(*args):
+            hit = table.get(args)
+            if hit is None:
+                hit = table[args] = fn(*args)
+            return hit
+
+        return cached
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -208,6 +244,10 @@ def compose_paths(spec: AlgebraSpec, p: Path, q: Path) -> "PathCombination":
     return PathCombination.of(Path(q.start, p.arrows + q.arrows))
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 class PathCombination:
     """A rational linear combination of parallel paths.
 
@@ -223,7 +263,14 @@ class PathCombination:
         if terms:
             for path, coeff in terms.items():
                 if coeff:
-                    self._terms[path] = Fraction(coeff)
+                    self._terms[path] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+
+    @classmethod
+    def _trusted(cls, terms: dict[Path, Fraction]) -> "PathCombination":
+        """Wrap ``terms`` as is: every value a nonzero Fraction, the dict unshared."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "PathCombination":
@@ -231,7 +278,7 @@ class PathCombination:
 
     @classmethod
     def of(cls, path: Path, coeff: Fraction | int = 1) -> "PathCombination":
-        return cls({path: Fraction(coeff)})
+        return cls({path: coeff})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -240,38 +287,43 @@ class PathCombination:
         return bool(self._terms)
 
     def terms(self) -> Iterator[tuple[Path, Fraction]]:
+        if len(self._terms) < 2:
+            return iter(self._terms.items())
         return iter(sorted(self._terms.items(), key=lambda it: it[0].sort_key()))
 
     def coefficient(self, path: Path) -> Fraction:
-        return self._terms.get(path, Fraction(0))
+        return self._terms.get(path, _ZERO)
 
     def stationary_coefficient(self) -> Fraction:
         for path, coeff in self._terms.items():
             if path.is_stationary:
                 return coeff
-        return Fraction(0)
+        return _ZERO
 
     def __add__(self, other: "PathCombination") -> "PathCombination":
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
         for path, coeff in other._terms.items():
-            new = out.get(path, Fraction(0)) + coeff
-            if new:
-                out[path] = new
-            else:
-                out.pop(path, None)
-        return PathCombination(out)
+            add_entry(out, path, coeff)
+        return PathCombination._trusted(out)
 
     def __sub__(self, other: "PathCombination") -> "PathCombination":
-        return self + other.scale(-1)
+        return self + -other
 
     def __neg__(self) -> "PathCombination":
-        return self.scale(-1)
+        return PathCombination._trusted({p: -c for p, c in self._terms.items()})
 
     def scale(self, coeff: Fraction | int) -> "PathCombination":
-        coeff = Fraction(coeff)
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
         if not coeff:
             return PathCombination.zero()
-        return PathCombination({p: c * coeff for p, c in self._terms.items()})
+        if coeff == 1:
+            return self
+        return PathCombination._trusted({p: c * coeff for p, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathCombination):
@@ -297,22 +349,76 @@ class PathCombination:
         return " + ".join(bits)
 
 
+# -- The path table -------------------------------------------------------------
+
+
+class _PathTable(NamedTuple):
+    """The nonzero paths of one algebra and all their products.
+
+    ``paths[start, end]`` lists the paths between two vertices, sorted by
+    (length, arrow word).  ``products[p][q]`` is p*q, one of the table's
+    own paths or None for zero, for every pair where q ends at p's start:
+    in a monomial algebra a product of two paths is zero or one path.
+    """
+
+    paths: dict[tuple[int, int], tuple[Path, ...]]
+    products: dict[Path, dict[Path, Path | None]]
+
+
+@memoized("algebra.path_table")
+def _path_table(spec: AlgebraSpec) -> _PathTable:
+    found: dict[tuple[int, int], list[Path]] = {}
+    for u in spec.vertices:
+        # Walk forward from u; path length is bounded by m + 1, so plain DFS.
+        stack: list[Path] = [Path(u, ())]
+        while stack:
+            p = stack.pop()
+            found.setdefault((u, p.end), []).append(p)
+            for w in spec.arrows:
+                if spec.arrow_source(w) != p.end:
+                    continue
+                if p.arrows and _is_forbidden_pair(spec, w, p.arrows[0]):
+                    continue
+                stack.append(Path(u, (w,) + p.arrows))
+    paths = {key: tuple(sorted(ps, key=Path.sort_key)) for key, ps in found.items()}
+    canonical = {p: p for ps in paths.values() for p in ps}
+    products: dict[Path, dict[Path, Path | None]] = {p: {} for p in canonical}
+    for p in canonical:
+        for q in canonical:
+            if q.end == p.start:
+                products[p][q] = None
+                for pq, _ in compose_paths(spec, p, q).terms():
+                    products[p][q] = canonical[pq]
+    return _PathTable(paths, products)
+
+
+_NO_PRODUCTS: dict[Path, Path | None] = {}
+
+
 def algebra_product(
     spec: AlgebraSpec, x: PathCombination, y: PathCombination
 ) -> PathCombination:
     """Bilinear extension of compose_paths: x*y with y applied first."""
-    out = PathCombination.zero()
-    for px, cx in x.terms():
-        for py, cy in y.terms():
-            out = out + compose_paths(spec, px, py).scale(cx * cy)
-    return out
+    products = _path_table(spec).products
+    out: dict[Path, Fraction] = {}
+    for px, cx in x._terms.items():
+        after = products.get(px, _NO_PRODUCTS)
+        x_is_one = cx == 1
+        for py, cy in y._terms.items():
+            try:
+                path = after[py]
+            except KeyError:
+                raise ValueError(f"{px!r} * {py!r}: not composable nonzero paths of {spec}") from None
+            if path is not None:
+                add_entry(out, path, cy if x_is_one else cx if cy == 1 else cx * cy)
+    return PathCombination._trusted(out)
 
 
 def hom_basis_proj(spec: AlgebraSpec, v: int, u: int) -> list[Path]:
     """All nonzero paths from u to v, sorted by (length, arrow word).
 
     These paths index a basis of the module maps P_v -> P_u by right
-    multiplication.
+    multiplication.  The list is the caller's own.
 
     >>> hom_basis_proj(AlgebraSpec(1, 0), 0, 0)
     [e(0), a(0)]
@@ -321,19 +427,4 @@ def hom_basis_proj(spec: AlgebraSpec, v: int, u: int) -> list[Path]:
     """
     if v not in spec.vertices or u not in spec.vertices:
         raise ValueError(f"vertices ({v}, {u}) not in {spec}")
-    found: list[Path] = []
-    # Walk forward from u; path length is bounded by m + 1, so plain DFS.
-    stack: list[Path] = [Path(u, ())]
-    while stack:
-        p = stack.pop()
-        if p.end == v:
-            found.append(p)
-        at = p.end
-        for w in spec.arrows:
-            if spec.arrow_source(w) != at:
-                continue
-            if p.arrows and _is_forbidden_pair(spec, w, p.arrows[0]):
-                continue
-            stack.append(Path(p.start, (w,) + p.arrows))
-    found.sort(key=Path.sort_key)
-    return found
+    return list(_path_table(spec).paths.get((u, v), ()))

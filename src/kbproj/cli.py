@@ -462,9 +462,6 @@ def cmd_ar_export(spec: AlgebraSpec, args: argparse.Namespace) -> int:
 
 
 def cmd_rigidity_check(spec: AlgebraSpec, args: argparse.Namespace) -> int:
-    a_span = _parse_span(args.a, "--a")
-    b_span = _parse_span(args.b, "--b")
-    window = _parse_window(a_span, b_span)
     instances = []
     family_obj = None
     if args.input is not None:
@@ -497,6 +494,7 @@ def cmd_rigidity_check(spec: AlgebraSpec, args: argparse.Namespace) -> int:
             entry["ok"] = False
         instances.append(entry)
     else:
+        window = _parse_window(_parse_span(args.a, "--a"), _parse_span(args.b, "--b"))
         if args.count < 1:
             raise UsageError("--count must be positive")
         for offset in range(args.count):
@@ -578,8 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--format", choices=["dot", "json"], default="dot")
 
     rigidity = sub.add_parser("rigidity-check", help="conjugation construction on seeded data")
-    rigidity.add_argument("--a", default="-2:2", metavar="LO:HI")
-    rigidity.add_argument("--b", default="-2:2", metavar="LO:HI")
+    rigidity.add_argument("--a", default="-2:2", metavar="LO:HI", help="ignored with --input")
+    rigidity.add_argument("--b", default="-2:2", metavar="LO:HI", help="ignored with --input")
     rigidity.add_argument("--seed", type=int, default=0)
     rigidity.add_argument("--count", type=int, default=5)
     rigidity.add_argument("--input", default=None, metavar="FILE")

@@ -20,31 +20,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
+    _ONE,
     AlgebraSpec,
     Path,
     PathCombination,
     algebra_product,
+    clear_caches,
     hom_basis_proj,
+    memo_table,
     path_is_valid,
 )
-from .linalg import SpanSolver, nullspace, rank
-
-# Every per-process memo table of the package, by name.  Tables hold only
-# results of pure functions of their keys, so emptying them changes no
-# answer, only the time the next query takes.
-_MEMO_TABLES: dict[str, dict] = {}
-
-
-def memo_table(name: str) -> dict:
-    """The memo table registered under ``name``, created empty on first use."""
-    return _MEMO_TABLES.setdefault(name, {})
-
-
-def clear_caches() -> None:
-    """Empty every registered memo table."""
-    for table in _MEMO_TABLES.values():
-        table.clear()
-
+from .linalg import SpanSolver, add_entry, nullspace, rank
 
 _HOMOTOPY_SOLVERS = memo_table("complexes.homotopy_solver")
 
@@ -465,22 +451,18 @@ def _chain_equations(c: ProjComplex, d: ProjComplex, fvars, findex):
     rows: dict[tuple, dict[int, Fraction]] = {}
 
     def put(eqkey, var, coeff):
-        rows.setdefault(eqkey, {})
-        cur = rows[eqkey].get(var, Fraction(0)) + coeff
-        if cur:
-            rows[eqkey][var] = cur
-        else:
-            rows[eqkey].pop(var, None)
+        add_entry(rows.setdefault(eqkey, {}), var, coeff)
 
     for (i, r, col, p) in fvars:
         var = findex[(i, r, col, p)]
+        unit = PathCombination._trusted({p: _ONE})
         # d_D composed after f at degree i
         dd = d.diff(i)
         for s in range(len(d.summand(i + 1))):
             entry = dd[s][r]
             if not entry:
                 continue
-            prod = algebra_product(spec, PathCombination.of(p), entry)
+            prod = algebra_product(spec, unit, entry)
             for path, coeff in prod.terms():
                 put((i, s, col, path), var, coeff)
         # f at degree i composed after d_C at degree i-1
@@ -489,7 +471,7 @@ def _chain_equations(c: ProjComplex, d: ProjComplex, fvars, findex):
             entry = dc[col][col0] if dc else None
             if not entry:
                 continue
-            prod = algebra_product(spec, entry, PathCombination.of(p))
+            prod = algebra_product(spec, entry, unit)
             for path, coeff in prod.terms():
                 put((i - 1, r, col0, path), var, -coeff)
     return [rows[k] for k in sorted(rows, key=lambda t: (t[0], t[1], t[2], t[3].sort_key()))]
@@ -502,31 +484,23 @@ def _homotopy_images(c: ProjComplex, d: ProjComplex, findex):
     images = []
     for (i, r, col, q) in hvars:
         vec: dict[int, Fraction] = {}
-
-        def put(fkey, coeff):
-            var = findex.get(fkey)
-            if var is None:
-                return
-            cur = vec.get(var, Fraction(0)) + coeff
-            if cur:
-                vec[var] = cur
-            else:
-                vec.pop(var, None)
-
+        unit = PathCombination._trusted({q: _ONE})
         dd = d.diff(i - 1)
         for s in range(len(d.summand(i))):
             entry = dd[s][r]
             if entry:
-                prod = algebra_product(spec, PathCombination.of(q), entry)
-                for path, coeff in prod.terms():
-                    put((i, s, col, path), coeff)
+                for path, coeff in algebra_product(spec, unit, entry).terms():
+                    var = findex.get((i, s, col, path))
+                    if var is not None:
+                        add_entry(vec, var, coeff)
         dc = c.diff(i - 1)
         for col0 in range(len(c.summand(i - 1))):
             entry = dc[col][col0] if dc else None
             if entry:
-                prod = algebra_product(spec, entry, PathCombination.of(q))
-                for path, coeff in prod.terms():
-                    put((i - 1, r, col0, path), coeff)
+                for path, coeff in algebra_product(spec, entry, unit).terms():
+                    var = findex.get((i - 1, r, col0, path))
+                    if var is not None:
+                        add_entry(vec, var, coeff)
         images.append(vec)
     return images
 
@@ -601,8 +575,8 @@ def _map_vector(f: ChainMap, findex) -> dict[int, Fraction]:
                         raise ValueError(
                             f"component at degree {i} falls outside the hom variable grid"
                         )
-                    vec[var] = vec.get(var, Fraction(0)) + coeff
-    return {k: v for k, v in vec.items() if v}
+                    add_entry(vec, var, coeff)
+    return vec
 
 
 def _homotopy_solver(c: ProjComplex, d: ProjComplex):

@@ -11,6 +11,43 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+_ONE = Fraction(1)
+
+
+def add_entry(vec: dict, j, coeff: Fraction) -> None:
+    """vec[j] += coeff for a nonzero coeff, keeping zeros absent."""
+    cur = vec.get(j)
+    if cur is None:
+        vec[j] = coeff
+    else:
+        cur += coeff
+        if cur:
+            vec[j] = cur
+        else:
+            del vec[j]
+
+
+def _fraction_row(vec) -> dict:
+    """A copy of vec with zeros dropped and every entry a Fraction."""
+    return {j: c if isinstance(c, Fraction) else Fraction(c) for j, c in vec.items() if c}
+
+
+def _subtract_multiple(row: dict, factor: Fraction, prow: dict) -> None:
+    """row -= factor * prow in place, keeping zeros absent."""
+    # Factors are mostly +-1, where a negation or nothing replaces the product.
+    neg = -factor
+    sign = 1 if neg == 1 else -1 if neg == -1 else 0
+    for j, c in prow.items():
+        cur = row.get(j)
+        if cur is None:
+            row[j] = c if sign > 0 else -c if sign else neg * c
+        else:
+            cur = cur + c if sign > 0 else cur - c if sign else cur + neg * c
+            if cur:
+                row[j] = cur
+            else:
+                del row[j]
+
 
 def _int_rows(rows):
     """Clear denominators row by row; accepts int or Fraction entries."""
@@ -75,21 +112,16 @@ def nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
     """
     echelon: list[tuple[int, dict[int, Fraction]]] = []  # (pivot, row), pivot coeff 1
     for raw in rows:
-        row = {j: Fraction(c) for j, c in raw.items() if c}
+        row = _fraction_row(raw)
         for pcol, prow in echelon:
             if pcol in row:
-                factor = row[pcol]
-                for j, c in prow.items():
-                    new = row.get(j, Fraction(0)) - factor * c
-                    if new:
-                        row[j] = new
-                    else:
-                        row.pop(j, None)
+                _subtract_multiple(row, row[pcol], prow)
         if not row:
             continue
         pivot = min(row)
         inv = 1 / row[pivot]
-        row = {j: c * inv for j, c in row.items()}
+        if inv != 1:
+            row = {j: c * inv for j, c in row.items()}
         echelon.append((pivot, row))
     echelon.sort(key=lambda it: it[0])
     # Back-substitute to reduced form so each basis vector reads off directly.
@@ -98,13 +130,7 @@ def nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
         for jdx in range(idx):
             qcol, qrow = echelon[jdx]
             if pcol in qrow:
-                factor = qrow[pcol]
-                for j, c in prow.items():
-                    new = qrow.get(j, Fraction(0)) - factor * c
-                    if new:
-                        qrow[j] = new
-                    else:
-                        qrow.pop(j, None)
+                _subtract_multiple(qrow, qrow[pcol], prow)
     pivots = {pcol: prow for pcol, prow in echelon}
     basis = []
     for free in range(ncols):
@@ -136,37 +162,28 @@ class SpanSolver:
     def add_generator(self, vec) -> None:
         index = self._count
         self._count += 1
-        row = {j: Fraction(c) for j, c in vec.items() if c}
-        combo = {index: Fraction(1)}
+        row = _fraction_row(vec)
+        combo = {index: _ONE}
         row, combo = self._reduce(row, combo)
         if row:
             pivot = min(row)
             inv = 1 / row[pivot]
-            row = {j: c * inv for j, c in row.items()}
-            combo = {i: c * inv for i, c in combo.items()}
+            if inv != 1:
+                row = {j: c * inv for j, c in row.items()}
+                combo = {i: c * inv for i, c in combo.items()}
             self._rows.append((pivot, row, combo))
 
     def _reduce(self, row, combo):
         for pcol, prow, pcombo in self._rows:
             if pcol in row:
                 factor = row[pcol]
-                for j, c in prow.items():
-                    new = row.get(j, Fraction(0)) - factor * c
-                    if new:
-                        row[j] = new
-                    else:
-                        row.pop(j, None)
-                for i, c in pcombo.items():
-                    new = combo.get(i, Fraction(0)) - factor * c
-                    if new:
-                        combo[i] = new
-                    else:
-                        combo.pop(i, None)
+                _subtract_multiple(row, factor, prow)
+                _subtract_multiple(combo, factor, pcombo)
         return row, combo
 
     def solve(self, rhs) -> dict[int, Fraction] | None:
         """Coefficients over generator indices with sum_i c_i gen_i = rhs."""
-        row = {j: Fraction(c) for j, c in rhs.items() if c}
+        row = _fraction_row(rhs)
         combo: dict[int, Fraction] = {}
         row, combo = self._reduce(row, combo)
         if row:

@@ -40,11 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from random import Random
 from typing import NamedTuple
 
-from .algebra import AlgebraSpec, Path, PathCombination
+from .algebra import AlgebraSpec, Path, PathCombination, memoized
 from .complexes import (
     ChainMap,
     ProjComplex,
@@ -119,7 +118,7 @@ def check_window(window: Window) -> None:
         raise ValueError("window must reach b = 0 where the seeds live")
 
 
-@lru_cache(maxsize=None)
+@memoized("rigidity.conjugation_domain")
 def conjugation_domain(spec: AlgebraSpec, window: Window) -> tuple[GammaVertex, ...]:
     """All vertices the conjugation sweep on the window walks through.
 
@@ -140,7 +139,7 @@ def conjugation_domain(spec: AlgebraSpec, window: Window) -> tuple[GammaVertex, 
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
+@memoized("rigidity.generator_keys")
 def generator_keys(
     spec: AlgebraSpec, vertices: tuple[GammaVertex, ...]
 ) -> tuple[tuple[str, GammaVertex, GammaVertex], ...]:

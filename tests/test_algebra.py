@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -108,8 +109,13 @@ def test_hom_basis_matches_brute_enumeration(spec):
     for u in spec.vertices:
         for v in spec.vertices:
             expected = brute_arrow_words(spec.n, spec.m, u, v)
-            got = [p.arrows for p in hom_basis_proj(spec, v, u)]
-            assert got == expected
+            got = hom_basis_proj(spec, v, u)
+            assert [p.arrows for p in got] == expected
+            assert all(p.start == u and p.end == v for p in got)
+            # the list is the caller's: changing it leaves the next answer alone
+            got.reverse()
+            got.append(Path(u, ()))
+            assert [p.arrows for p in hom_basis_proj(spec, v, u)] == expected
 
 
 def test_hom_basis_examples():
@@ -184,3 +190,95 @@ def test_path_combination_linearity(data):
     assert (x + y) - y == x
     assert x.scale(t) + y.scale(t) == (x + y).scale(t)
     assert x.scale(Fraction(0)).is_zero()
+
+
+# -- The product table against the brute-force route -------------------------
+
+
+def _brute_paths(spec: AlgebraSpec) -> list[Path]:
+    """Every nonzero path, rebuilt by the conftest enumerator."""
+    out = []
+    for u in spec.vertices:
+        for v in spec.vertices:
+            out.extend(Path(u, w) for w in brute_arrow_words(spec.n, spec.m, u, v))
+    return out
+
+
+def _reference_product(spec, x, y):
+    """The bilinear loop algebra_product used before the path table."""
+    out = PathCombination.zero()
+    for px, cx in x.terms():
+        for py, cy in y.terms():
+            out = out + compose_paths(spec, px, py).scale(cx * cy)
+    return out
+
+
+def _assert_normal(x: PathCombination) -> None:
+    for _, coeff in x.terms():
+        assert type(coeff) is Fraction and coeff != 0
+
+
+def test_table_products_follow_the_concatenation_rule(spec):
+    paths = _brute_paths(spec)
+    for p in paths:
+        for q in paths:
+            if q.end != p.start:
+                with pytest.raises(ValueError):
+                    algebra_product(spec, PathCombination.of(p), PathCombination.of(q))
+                continue
+            word = p.arrows + q.arrows
+            nonzero = word in brute_arrow_words(spec.n, spec.m, q.start, p.end)
+            got = algebra_product(spec, PathCombination.of(p), PathCombination.of(q))
+            expected = PathCombination.of(Path(q.start, word)) if nonzero else PathCombination.zero()
+            assert got == expected
+            _assert_normal(got)
+
+
+def _random_combination(rng, paths, start, end) -> PathCombination:
+    parallel = [p for p in paths if p.start == start and p.end == end]
+    out = PathCombination.zero()
+    for _ in range(rng.randint(0, 4)):
+        if parallel:
+            coeff = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+            out = out + PathCombination.of(rng.choice(parallel), coeff)
+    return out
+
+
+def test_algebra_product_matches_the_reference_loop(spec):
+    rng = random.Random(spec.n * 10 + spec.m)
+    paths = _brute_paths(spec)
+    verts = list(spec.vertices)
+    for _ in range(300):
+        a, b, c = (rng.choice(verts) for _ in range(3))
+        x = _random_combination(rng, paths, b, a)
+        y = _random_combination(rng, paths, c, b)
+        got = algebra_product(spec, x, y)
+        assert got == _reference_product(spec, x, y)
+        assert got.key() == _reference_product(spec, x, y).key()
+        _assert_normal(got)
+
+
+def test_cancelling_terms_leave_no_zero_coefficient():
+    spec = AlgebraSpec(1, 0)
+    e, a = Path(0, ()), Path(0, (0,))
+    x = PathCombination.of(e) + PathCombination.of(a)
+    y = PathCombination.of(e) - PathCombination.of(a)
+    # (e + a)(e - a) = e - a + a - a*a, and a*a is zero
+    got = algebra_product(spec, x, y)
+    assert got == PathCombination.of(e)
+    assert list(got.terms()) == [(e, Fraction(1))]
+    assert (x - x).is_zero() and list((x - x).terms()) == []
+    for combo in (x + y, x - y, -x, x.scale(3), x.scale(Fraction(1, 2)), PathCombination.of(a, 2)):
+        _assert_normal(combo)
+
+
+def test_identities_return_the_operand():
+    x = PathCombination.of(Path(0, (0,)), Fraction(2, 3))
+    zero = PathCombination.zero()
+    assert x.scale(1) is x
+    assert x + zero is x
+    assert zero + x is x
+    assert PathCombination.of(Path(0, ()), 0).is_zero()
+    coerced = PathCombination({Path(0, ()): 0, Path(0, (0,)): 2})
+    assert coerced == PathCombination.of(Path(0, (0,)), 2)
+    _assert_normal(coerced)

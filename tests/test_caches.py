@@ -1,8 +1,8 @@
 """Per-process memos of the chain-level constructors, and the degree skips.
 
-``build_complex``, ``theta_hom`` and the homotopy solvers keep their
-results in memo tables registered in ``complexes``; ``clear_caches``
-empties them all.  A memoized object is shared by every caller, so these
+The path table, ``build_complex``, ``theta_hom``, the homotopy solvers
+and the rigidity window grids keep their results in memo tables
+registered in ``algebra``; ``clear_caches`` empties them all.  A memoized object is shared by every caller, so these
 tests check that nothing changes one after it was stored, that a warm
 memo gives the same reports as a cold one, and that a fault toggled
 between two runs is not hidden by results of the first.  The last tests
@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from kbproj import complexes
+from kbproj import algebra, complexes
 from kbproj.algebra import AlgebraSpec, Path, PathCombination
 from kbproj.cli import _suite_functoriality, main
 from kbproj.complexes import (
@@ -31,9 +31,17 @@ from kbproj.complexes import (
 )
 from kbproj.gamma import GammaHom, theta_hom
 from kbproj.quadruples import Quadruple, build_complex
+from kbproj.rigidity import random_pseudo_identity
 
 L21 = AlgebraSpec(2, 1)
-TABLES = ("complexes.homotopy_solver", "quadruples.build_complex", "gamma.theta_hom")
+TABLES = (
+    "algebra.path_table",
+    "complexes.homotopy_solver",
+    "quadruples.build_complex",
+    "gamma.theta_hom",
+    "rigidity.conjugation_domain",
+    "rigidity.generator_keys",
+)
 
 
 @pytest.fixture(autouse=True)
@@ -78,8 +86,11 @@ def test_build_complex_memo_is_keyed_on_the_quadruple_values():
 
 
 def test_clear_caches_empties_every_registered_table():
+    assert complexes.clear_caches is algebra.clear_caches
+    assert complexes.memo_table is algebra.memo_table
     _suite_functoriality(L21, (-1, 1), (-1, 1))
-    registry = complexes._MEMO_TABLES
+    random_pseudo_identity(L21, (-1, 1, -1, 1), 0)
+    registry = algebra._MEMO_TABLES
     assert set(TABLES) <= set(registry)
     assert all(registry[name] for name in TABLES)
     clear_caches()

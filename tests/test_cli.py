@@ -206,6 +206,25 @@ def test_rigidity_check_reports_the_window_of_loaded_data(capsys, tmp_path):
     assert json.loads(out)["window"] == {"a": [-1, 1], "b": [-1, 1]}
 
 
+def test_rigidity_check_input_ignores_the_window_flags(capsys, tmp_path):
+    from kbproj.algebra import AlgebraSpec
+    from kbproj.rigidity import pseudo_identity_to_obj, random_pseudo_identity
+
+    data = random_pseudo_identity(AlgebraSpec(2, 1), (-1, 1, -1, 1), 9)
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(pseudo_identity_to_obj(data)))
+    # --a 1:2 misses the column a = 0, which only a seeded run needs.
+    code, out, err = run(
+        capsys,
+        "--algebra", "2,1",
+        "rigidity-check", "--input", str(path), "--a", "1:2", "--format", "json",
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["window"] == {"a": [-1, 1], "b": [-1, 1]}
+
+
 def test_rigidity_check_rejects_poisoned_file(capsys, tmp_path):
     from fractions import Fraction
 

@@ -1,0 +1,24 @@
+"""The examples in the package's docstrings, run as tests."""
+
+from __future__ import annotations
+
+import doctest
+import importlib
+import pkgutil
+
+import kbproj
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(kbproj.__path__, "kbproj."))
+
+
+def test_every_module_doctest_passes():
+    failed = {}
+    attempted = 0
+    for name in MODULES:
+        result = doctest.testmod(importlib.import_module(name))
+        attempted += result.attempted
+        if result.failed:
+            failed[name] = result.failed
+    assert failed == {}
+    # algebra alone carries six examples; finding none means none were collected
+    assert attempted >= 6

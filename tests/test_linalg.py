@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,3 +100,60 @@ def test_span_solver_zero_vector():
     assert solver.solve({}) == {}
     solver.add_generator({})
     assert solver.rank == 0
+
+
+# -- Differential test against sympy over QQ ----------------------------------
+
+
+def _random_rows(rng, nrows: int, ncols: int, rational: bool) -> list[dict]:
+    """Sparse rows with about a third of the entries set; some rows empty."""
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for j in range(ncols):
+            if rng.random() < 0.35:
+                num = rng.randint(-4, 4)
+                row[j] = Fraction(num, rng.randint(1, 5)) if rational else num
+        rows.append(row)
+    return rows
+
+
+def _sympy_matrix(sympy, rows, ncols: int):
+    def entry(i, j):
+        c = Fraction(rows[i].get(j, 0))
+        return sympy.Rational(c.numerator, c.denominator)
+
+    return sympy.Matrix(len(rows), ncols, entry)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_linalg_agrees_with_sympy(rational):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20 + rational)
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = _random_rows(rng, nrows, ncols, rational)
+        m = _sympy_matrix(sympy, rows, ncols)
+        expected_rank = m.rank()
+        assert rank(rows) == expected_rank, trial
+        kernel = nullspace(rows, ncols)
+        assert len(kernel) == len(m.nullspace()) == ncols - expected_rank, trial
+        for vec in kernel:
+            assert m * _sympy_matrix(sympy, [vec], ncols).T == sympy.zeros(nrows, 1), trial
+
+        solver = SpanSolver()
+        for row in rows:
+            solver.add_generator(row)
+        assert solver.rank == expected_rank, trial
+        for rhs in _random_rows(rng, 3, ncols, rational):
+            inside = _sympy_matrix(sympy, rows + [rhs], ncols).rank() == expected_rank
+            combo = solver.solve(rhs)
+            assert (combo is not None) == inside, trial
+            if combo is not None:
+                rebuilt: dict[int, Fraction] = {}
+                for idx, w in combo.items():
+                    for j, x in rows[idx].items():
+                        rebuilt[j] = rebuilt.get(j, Fraction(0)) + w * x
+                assert {j: x for j, x in rebuilt.items() if x} == {
+                    j: Fraction(x) for j, x in rhs.items() if x
+                }, trial
