@@ -16,7 +16,7 @@ entry and ends at the target (= index) of its first entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from typing import Iterable, Iterator, NamedTuple
@@ -63,21 +63,18 @@ class AlgebraSpec:
 
     n: int
     m: int
+    # Built once per spec: vertices -m..n-1, and arrow indices (alpha_u has
+    # target u).  Derived from (n, m), so they stay out of eq, hash and repr.
+    vertices: range = field(init=False, repr=False, compare=False)
+    arrows: range = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"cycle length n must be >= 1, got {self.n}")
         if self.m < 0:
             raise ValueError(f"tail length m must be >= 0, got {self.m}")
-
-    @property
-    def vertices(self) -> range:
-        return range(-self.m, self.n)
-
-    @property
-    def arrows(self) -> range:
-        """Arrow indices; alpha_u has target u."""
-        return range(-self.m, self.n)
+        object.__setattr__(self, "vertices", range(-self.m, self.n))
+        object.__setattr__(self, "arrows", self.vertices)
 
     def arrow_source(self, u: int) -> int:
         if not -self.m <= u <= self.n - 1:
@@ -352,11 +349,11 @@ class PathCombination:
 # -- The path table -------------------------------------------------------------
 
 
-class _PathTable(NamedTuple):
+class PathTable(NamedTuple):
     """The nonzero paths of one algebra and all their products.
 
     ``paths[start, end]`` lists the paths between two vertices, sorted by
-    (length, arrow word).  ``products[p][q]`` is p*q, one of the table's
+    (length, arrow word), for every pair of vertices of the algebra.  ``products[p][q]`` is p*q, one of the table's
     own paths or None for zero, for every pair where q ends at p's start:
     in a monomial algebra a product of two paths is zero or one path.
     """
@@ -366,14 +363,15 @@ class _PathTable(NamedTuple):
 
 
 @memoized("algebra.path_table")
-def _path_table(spec: AlgebraSpec) -> _PathTable:
-    found: dict[tuple[int, int], list[Path]] = {}
+def path_table(spec: AlgebraSpec) -> PathTable:
+    """The path table of ``spec``, built once per process and shared: read only."""
+    found: dict[tuple[int, int], list[Path]] = {(u, v): [] for u in spec.vertices for v in spec.vertices}
     for u in spec.vertices:
         # Walk forward from u; path length is bounded by m + 1, so plain DFS.
         stack: list[Path] = [Path(u, ())]
         while stack:
             p = stack.pop()
-            found.setdefault((u, p.end), []).append(p)
+            found[u, p.end].append(p)
             for w in spec.arrows:
                 if spec.arrow_source(w) != p.end:
                     continue
@@ -389,7 +387,7 @@ def _path_table(spec: AlgebraSpec) -> _PathTable:
                 products[p][q] = None
                 for pq, _ in compose_paths(spec, p, q).terms():
                     products[p][q] = canonical[pq]
-    return _PathTable(paths, products)
+    return PathTable(paths, products)
 
 
 _NO_PRODUCTS: dict[Path, Path | None] = {}
@@ -399,7 +397,7 @@ def algebra_product(
     spec: AlgebraSpec, x: PathCombination, y: PathCombination
 ) -> PathCombination:
     """Bilinear extension of compose_paths: x*y with y applied first."""
-    products = _path_table(spec).products
+    products = path_table(spec).products
     out: dict[Path, Fraction] = {}
     for px, cx in x._terms.items():
         after = products.get(px, _NO_PRODUCTS)
@@ -427,4 +425,4 @@ def hom_basis_proj(spec: AlgebraSpec, v: int, u: int) -> list[Path]:
     """
     if v not in spec.vertices or u not in spec.vertices:
         raise ValueError(f"vertices ({v}, {u}) not in {spec}")
-    return list(_path_table(spec).paths.get((u, v), ()))
+    return list(path_table(spec).paths[u, v])

@@ -29,10 +29,22 @@ from .quadruples import Quadruple, build_complex, chain_tail_positions, in_calC
 _FAULT: str | None = None
 
 
-def in_phi(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> bool:
-    """Whether the unsigned basis map C_{q_source} -> C_{q_target} exists."""
+def _check_pair(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> None:
     if not in_calC(spec, q_target) or not in_calC(spec, q_source):
         raise ValueError("quadruples outside the family")
+
+
+def in_phi(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> bool:
+    """Whether the unsigned basis map C_{q_source} -> C_{q_target} exists.
+
+    Raises ValueError unless both quadruples are in the family.
+    """
+    _check_pair(spec, q_target, q_source)
+    return _in_phi(spec, q_target, q_source)
+
+
+def _in_phi(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> bool:
+    """:func:`in_phi` for quadruples already known to be in the family."""
     kp, up, lp, vp = q_target
     k, u, l, v = q_source
     if not (kp <= k <= kp + lp <= k + l):
@@ -80,9 +92,16 @@ def _psi_r2(spec, q_target, q_source) -> bool:
 
 
 def in_psi(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> bool:
-    """Whether the signed basis map C_{q_source} -> C_{q_target} exists."""
-    if not in_calC(spec, q_target) or not in_calC(spec, q_source):
-        raise ValueError("quadruples outside the family")
+    """Whether the signed basis map C_{q_source} -> C_{q_target} exists.
+
+    Raises ValueError unless both quadruples are in the family.
+    """
+    _check_pair(spec, q_target, q_source)
+    return _in_psi(spec, q_target, q_source)
+
+
+def _in_psi(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> bool:
+    """:func:`in_psi` for quadruples already known to be in the family."""
     kp, up, lp, vp = q_target
     k, u, l, v = q_source
     if not (k <= kp or (k == kp + 1 and up < u)):
@@ -93,8 +112,13 @@ def in_psi(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> bool:
 
 
 def hom_dim(spec: AlgebraSpec, q_source: Quadruple, q_target: Quadruple) -> int:
-    """Dimension of Hom(C_{q_source}, C_{q_target}) up to homotopy."""
-    return int(in_phi(spec, q_target, q_source)) + int(in_psi(spec, q_target, q_source))
+    """Dimension of Hom(C_{q_source}, C_{q_target}) up to homotopy.
+
+    Checks once that both quadruples are in the family (ValueError if not),
+    then counts the phi and psi basis maps without checking again.
+    """
+    _check_pair(spec, q_target, q_source)
+    return int(_in_phi(spec, q_target, q_source)) + int(_in_psi(spec, q_target, q_source))
 
 
 def _empty_components(spec, source, target):

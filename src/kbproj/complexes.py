@@ -20,15 +20,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
-    _ONE,
     AlgebraSpec,
     Path,
     PathCombination,
     algebra_product,
     clear_caches,
-    hom_basis_proj,
     memo_table,
     path_is_valid,
+    path_table,
 )
 from .linalg import SpanSolver, add_entry, nullspace, rank
 
@@ -429,78 +428,72 @@ def _hom_variables(c: ProjComplex, d: ProjComplex, offset: int):
     """Variables for degreewise maps C^i -> D^{i+offset}.
 
     Returns (vars, index) with vars a list of (i, r, c, path) in the fixed
-    deterministic order and index its inverse mapping.
+    deterministic order and index its inverse mapping.  A variable's path
+    runs from the target summand to the source summand, as in
+    ``hom_basis_proj``.  Raises ValueError on a summand vertex outside the
+    algebra.
     """
-    spec = c.spec
+    paths = path_table(c.spec).paths
     out = []
-    for i in sorted(set(c.summands)):
-        targets = d.summand(i + offset)
-        sources = c.summand(i)
-        if not targets or not sources:
-            continue
-        for r, tv in enumerate(targets):
-            for col, sv in enumerate(sources):
-                for p in hom_basis_proj(spec, sv, tv):
-                    out.append((i, r, col, p))
+    try:
+        for i in sorted(c.summands):
+            for r, tv in enumerate(d.summands.get(i + offset, ())):
+                for col, sv in enumerate(c.summands[i]):
+                    for p in paths[tv, sv]:
+                        out.append((i, r, col, p))
+    except KeyError:
+        raise ValueError(f"vertices ({sv}, {tv}) not in {c.spec}") from None
     return out, {v: j for j, v in enumerate(out)}
 
 
-def _chain_equations(c: ProjComplex, d: ProjComplex, fvars, findex):
+# The assembly below multiplies one basis path with one differential entry
+# by table lookups.  Such a product is injective on the entry's parallel
+# paths and keeps their order, so it contributes each entry coefficient
+# once, exactly as ``algebra_product`` would.  A zero product is None,
+# which indexes no variable.
+
+
+def _chain_equations(c: ProjComplex, d: ProjComplex, fvars):
     """Rows of the linear system expressing d_D f = f d_C on path coordinates."""
-    spec = c.spec
+    products = path_table(c.spec).products
     rows: dict[tuple, dict[int, Fraction]] = {}
-
-    def put(eqkey, var, coeff):
-        add_entry(rows.setdefault(eqkey, {}), var, coeff)
-
-    for (i, r, col, p) in fvars:
-        var = findex[(i, r, col, p)]
-        unit = PathCombination._trusted({p: _ONE})
+    for var, (i, r, col, p) in enumerate(fvars):
         # d_D composed after f at degree i
-        dd = d.diff(i)
-        for s in range(len(d.summand(i + 1))):
-            entry = dd[s][r]
-            if not entry:
-                continue
-            prod = algebra_product(spec, unit, entry)
-            for path, coeff in prod.terms():
-                put((i, s, col, path), var, coeff)
+        after_p = products[p]
+        for s, drow in enumerate(d.diffs.get(i, ())):
+            for path, coeff in drow[r].terms():
+                pq = after_p[path]
+                if pq is not None:
+                    add_entry(rows.setdefault((i, s, col, pq), {}), var, coeff)
         # f at degree i composed after d_C at degree i-1
-        dc = c.diff(i - 1)
-        for col0 in range(len(c.summand(i - 1))):
-            entry = dc[col][col0] if dc else None
-            if not entry:
-                continue
-            prod = algebra_product(spec, entry, unit)
-            for path, coeff in prod.terms():
-                put((i - 1, r, col0, path), var, -coeff)
+        dc = c.diffs.get(i - 1)
+        for col0, entry in enumerate(dc[col] if dc else ()):
+            for path, coeff in entry.terms():
+                pq = products[path][p]
+                if pq is not None:
+                    add_entry(rows.setdefault((i - 1, r, col0, pq), {}), var, -coeff)
     return [rows[k] for k in sorted(rows, key=lambda t: (t[0], t[1], t[2], t[3].sort_key()))]
 
 
 def _homotopy_images(c: ProjComplex, d: ProjComplex, findex):
     """Image vectors (in f-variable coordinates) of the unit homotopies."""
-    spec = c.spec
+    products = path_table(c.spec).products
     hvars, _ = _hom_variables(c, d, -1)
     images = []
     for (i, r, col, q) in hvars:
         vec: dict[int, Fraction] = {}
-        unit = PathCombination._trusted({q: _ONE})
-        dd = d.diff(i - 1)
-        for s in range(len(d.summand(i))):
-            entry = dd[s][r]
-            if entry:
-                for path, coeff in algebra_product(spec, unit, entry).terms():
-                    var = findex.get((i, s, col, path))
-                    if var is not None:
-                        add_entry(vec, var, coeff)
-        dc = c.diff(i - 1)
-        for col0 in range(len(c.summand(i - 1))):
-            entry = dc[col][col0] if dc else None
-            if entry:
-                for path, coeff in algebra_product(spec, entry, unit).terms():
-                    var = findex.get((i - 1, r, col0, path))
-                    if var is not None:
-                        add_entry(vec, var, coeff)
+        after_q = products[q]
+        for s, drow in enumerate(d.diffs.get(i - 1, ())):
+            for path, coeff in drow[r].terms():
+                var = findex.get((i, s, col, after_q[path]))
+                if var is not None:
+                    add_entry(vec, var, coeff)
+        dc = c.diffs.get(i - 1)
+        for col0, entry in enumerate(dc[col] if dc else ()):
+            for path, coeff in entry.terms():
+                var = findex.get((i - 1, r, col0, products[path][q]))
+                if var is not None:
+                    add_entry(vec, var, coeff)
         images.append(vec)
     return images
 
@@ -513,10 +506,12 @@ class HomSpace:
 
 def hom_space_dimension(c: ProjComplex, d: ProjComplex) -> int:
     """Dimension of the hom space in the homotopy category."""
+    if c.spec != d.spec:
+        raise ValueError("hom across different algebras")
     fvars, findex = _hom_variables(c, d, 0)
     if not fvars:
         return 0
-    eqs = _chain_equations(c, d, fvars, findex)
+    eqs = _chain_equations(c, d, fvars)
     images = _homotopy_images(c, d, findex)
     return len(fvars) - rank(eqs) - rank(images)
 
@@ -547,7 +542,7 @@ def hom_space(c: ProjComplex, d: ProjComplex) -> HomSpace:
     fvars, findex = _hom_variables(c, d, 0)
     if not fvars:
         return HomSpace(0, [])
-    eqs = _chain_equations(c, d, fvars, findex)
+    eqs = _chain_equations(c, d, fvars)
     cycles = nullspace(eqs, len(fvars))
     solver = SpanSolver()
     for img in _homotopy_images(c, d, findex):
@@ -743,27 +738,22 @@ def _signature(c: ProjComplex) -> tuple:
     return tuple(sorted((i, tuple(sorted(s))) for i, s in c.summands.items()))
 
 
-def _try_inverse(f: ChainMap) -> ChainMap | None:
-    """Solve g f ~ id_source over the hom basis of maps target -> source."""
-    c, d = f.source, f.target
-    backward = hom_space(d, c)
-    if not backward.basis:
-        return None
-    fvars, findex = _hom_variables(c, c, 0)
+def _try_inverse(f: ChainMap, backward: HomSpace, findex, images, identity) -> ChainMap | None:
+    """Solve g f ~ id_source over the hom basis ``backward`` of maps target -> source.
+
+    ``findex`` indexes the variables of maps source -> source, ``images``
+    are their homotopy images and ``identity`` is the identity's vector.
+    """
     solver = SpanSolver()
-    generators = []
     for g in backward.basis:
-        vec = _map_vector(compose_chain_maps(g, f), findex)
-        generators.append(vec)
-        solver.add_generator(vec)
-    n_g = len(generators)
-    for img in _homotopy_images(c, c, findex):
+        solver.add_generator(_map_vector(compose_chain_maps(g, f), findex))
+    n_g = len(backward.basis)
+    for img in images:
         solver.add_generator(img)
-    target_vec = _map_vector(identity_chain_map(c), findex)
-    sol = solver.solve(target_vec)
+    sol = solver.solve(identity)
     if sol is None:
         return None
-    g = zero_chain_map(d, c)
+    g = zero_chain_map(f.target, f.source)
     for idx, coeff in sol.items():
         if idx < n_g and coeff:
             g = add_chain_maps(g, scale_chain_map(backward.basis[idx], coeff))
@@ -786,6 +776,16 @@ def is_isomorphic_K(c: ProjComplex, d: ProjComplex) -> IsoResult:
     if is_contractible(c):
         return IsoResult(True, zero_chain_map(c, d), zero_chain_map(d, c))
     forward = hom_space(c, d)
+    if not forward.basis:
+        return IsoResult(False)
+    # Everything but g f depends only on (c, d): build it once for all candidates.
+    backward = hom_space(d, c)
+    if not backward.basis:
+        return IsoResult(False)
+    _, findex = _hom_variables(c, c, 0)
+    images = _homotopy_images(c, c, findex)
+    identity = _map_vector(identity_chain_map(c), findex)
+    minus_identity_d = scale_chain_map(identity_chain_map(d), -1)
     candidates = list(forward.basis)
     if len(forward.basis) > 1:
         total = forward.basis[0]
@@ -799,11 +799,10 @@ def is_isomorphic_K(c: ProjComplex, d: ProjComplex) -> IsoResult:
                 combo = add_chain_maps(combo, scale_chain_map(f, rng.randint(1, 7)))
             candidates.append(combo)
     for f in candidates:
-        g = _try_inverse(f)
+        g = _try_inverse(f, backward, findex, images, identity)
         if g is None:
             continue
-        round_trip = compose_chain_maps(f, g)
-        diff = add_chain_maps(round_trip, scale_chain_map(identity_chain_map(d), -1))
+        diff = add_chain_maps(compose_chain_maps(f, g), minus_identity_d)
         if is_null_homotopic(diff):
             return IsoResult(True, f, g)
     return IsoResult(False)

@@ -9,7 +9,7 @@ is deterministic: pivots are chosen by smallest column index.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _ONE = Fraction(1)
 
@@ -53,17 +53,11 @@ def _int_rows(rows):
     """Clear denominators row by row; accepts int or Fraction entries."""
     out = []
     for row in rows:
-        if not row:
-            continue
         den = 1
         for c in row.values():
-            if isinstance(c, Fraction):
-                den = den * c.denominator // gcd(den, c.denominator)
-        cleared = {}
-        for j, c in row.items():
-            val = int(c * den) if isinstance(c, Fraction) else c * den
-            if val:
-                cleared[j] = val
+            if c.denominator != 1:
+                den = lcm(den, c.denominator)
+        cleared = {j: c.numerator * (den // c.denominator) for j, c in row.items() if c}
         if cleared:
             out.append(cleared)
     return out

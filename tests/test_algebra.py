@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,21 @@ def test_rejects_bad_parameters():
         AlgebraSpec(0, 0)
     with pytest.raises(ValueError):
         AlgebraSpec(1, -1)
+
+
+@pytest.mark.parametrize("n, m", ALGEBRA_PARAMS)
+def test_spec_is_a_value_of_n_and_m(n, m):
+    spec = AlgebraSpec(n, m)
+    twin = AlgebraSpec(n, m)
+    assert spec == twin and hash(spec) == hash(twin)
+    assert spec != AlgebraSpec(n + 1, m) and spec != AlgebraSpec(n, m + 1)
+    assert repr(spec) == f"AlgebraSpec(n={n}, m={m})"
+    assert spec.vertices == spec.arrows == range(-m, n)
+    assert replace(spec, n=n + 1).vertices == range(-m, n + 1)
+    with pytest.raises(TypeError):
+        AlgebraSpec(n, m, range(-m, n))
+    with pytest.raises(TypeError):
+        AlgebraSpec(n=n, m=m, vertices=range(-m, n))
 
 
 def test_arrow_endpoints():

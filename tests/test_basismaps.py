@@ -119,6 +119,26 @@ def test_maps_raise_outside_membership():
         in_phi(spec, Quadruple(0, 0, 0, 1), Quadruple(0, 0, 0, 0))
 
 
+def test_hom_dim_counts_the_checked_predicates(spec):
+    quads = enumerate_quadruples(spec, -2, 2, 3)
+    for qs in quads:
+        for qt in quads:
+            assert hom_dim(spec, qs, qt) == int(in_phi(spec, qt, qs)) + int(in_psi(spec, qt, qs))
+
+
+@pytest.mark.parametrize("outside", [Quadruple(0, 0, 0, 1), Quadruple(0, 5, 0, 5), Quadruple(0, 0, -1, 0)])
+def test_hom_dim_rejects_quadruples_outside_the_family(outside):
+    spec = AlgebraSpec(2, 1)
+    inside = Quadruple(0, 0, 0, 0)
+    for qs, qt in ((outside, inside), (inside, outside)):
+        with pytest.raises(ValueError, match="outside the family"):
+            hom_dim(spec, qs, qt)
+        with pytest.raises(ValueError, match="outside the family"):
+            in_phi(spec, qt, qs)
+        with pytest.raises(ValueError, match="outside the family"):
+            in_psi(spec, qt, qs)
+
+
 def test_irreducible_target_examples():
     spec = AlgebraSpec(2, 1)
     assert irr_targets_quadruple(spec, Quadruple(0, 1, 0, 1)) == [

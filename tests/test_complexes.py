@@ -102,6 +102,25 @@ def test_stalk_hom_dimensions():
     assert hom_space_dimension(stalk_complex(spec, 0), stalk_complex(spec, 0, 1)) == 0
 
 
+def test_hom_rejects_complexes_over_different_algebras():
+    c = stalk_complex(AlgebraSpec(2, 1), -1)
+    d = stalk_complex(AlgebraSpec(3, 2), -1)
+    for hom in (hom_space, hom_space_dimension):
+        with pytest.raises(ValueError, match="hom across different algebras"):
+            hom(c, d)
+        with pytest.raises(ValueError, match="hom across different algebras"):
+            hom(d, c)
+
+
+def test_hom_rejects_a_summand_outside_the_algebra():
+    spec = AlgebraSpec(2, 1)
+    bad = make_complex(spec, {0: (7,)}, {})
+    for hom in (hom_space, hom_space_dimension):
+        for c, d in ((bad, stalk_complex(spec, 0)), (stalk_complex(spec, 0), bad)):
+            with pytest.raises(ValueError, match="not in AlgebraSpec"):
+                hom(c, d)
+
+
 def test_hom_space_basis_members_are_chain_maps(spec):
     quads = enumerate_quadruples(spec, -1, 1, 2)[:6]
     for qs in quads:

@@ -19,6 +19,17 @@ def test_rank_examples():
     assert rank([{0: Fraction(1, 2), 1: Fraction(3)}, {0: Fraction(1), 1: Fraction(6)}]) == 1
 
 
+def test_rank_with_mixed_large_denominators():
+    big, prime = 10**12 + 39, 2**61 - 1
+    r1 = {0: Fraction(1, 3), 1: Fraction(5, 7), 2: Fraction(11, 13)}
+    r2 = {0: Fraction(2, 9), 1: Fraction(10, 21), 2: Fraction(22, 39)}  # 2/3 r1
+    r3 = {0: Fraction(1, big), 2: Fraction(-7, prime)}
+    r4 = {0: Fraction(1, 3) + Fraction(1, big), 1: Fraction(5, 7), 2: Fraction(11, 13) - Fraction(7, prime)}  # r1 + r3
+    assert rank([r1, r2, r3, r4]) == 2
+    # an int entry beside a Fraction in the same row
+    assert rank([r1, r2, r3, r4, {1: 3, 2: Fraction(1, prime)}]) == 3
+
+
 def test_nullspace_solves_equations():
     rows = [{0: Fraction(1), 1: Fraction(-1)}, {1: Fraction(1), 2: Fraction(-1)}]
     basis = nullspace(rows, 3)
