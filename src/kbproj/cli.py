@@ -57,6 +57,7 @@ from .gamma import (
 from .quadruples import Quadruple, build_complex, enumerate_quadruples, in_calC, suspend_quadruple
 from .rigidity import (
     InvalidPseudoIdentity,
+    NaturalityCounterexample,
     TriangleCertificationError,
     Window,
     check_window,
@@ -344,6 +345,15 @@ def _suite_triangles(spec: AlgebraSpec, a_span, b_span) -> dict:
     return {"name": "triangles", "checks": checks, "failures": failures}
 
 
+def _naturality_failure(cx: NaturalityCounterexample) -> str:
+    """The failure line of a naturality counterexample, with both sides' coefficients."""
+    return (
+        f"naturality fails for {cx.kind} {tuple(cx.source)} -> {tuple(cx.target)}: "
+        f"phi o F(h) = {cx.lhs.f_coeff} f + {cx.lhs.g_coeff} g, "
+        f"h o phi = {cx.rhs.f_coeff} f + {cx.rhs.g_coeff} g"
+    )
+
+
 def _suite_rigidity(spec: AlgebraSpec, window: Window, seed: int) -> dict:
     checks = 0
     failures = []
@@ -361,10 +371,7 @@ def _suite_rigidity(spec: AlgebraSpec, window: Window, seed: int) -> dict:
             continue
         counterexample = verify_naturality(family, data)
         if counterexample is not None:
-            failures.append(
-                f"seed {seed + offset}: naturality fails for {counterexample.kind} "
-                f"{tuple(counterexample.source)} -> {tuple(counterexample.target)}"
-            )
+            failures.append(f"seed {seed + offset}: {_naturality_failure(counterexample)}")
     return {"name": "rigidity", "checks": checks, "failures": failures}
 
 
@@ -483,10 +490,7 @@ def cmd_rigidity_check(spec: AlgebraSpec, args: argparse.Namespace) -> int:
                     family_obj = family_to_obj(family)
                 else:
                     entry["ok"] = False
-                    entry["violations"] = [
-                        f"naturality fails for {counterexample.kind} "
-                        f"{tuple(counterexample.source)} -> {tuple(counterexample.target)}"
-                    ]
+                    entry["violations"] = [_naturality_failure(counterexample)]
             except InvalidPseudoIdentity as exc:
                 entry["ok"] = False
                 entry["violations"] = [str(exc)]
@@ -508,10 +512,7 @@ def cmd_rigidity_check(spec: AlgebraSpec, args: argparse.Namespace) -> int:
                     entry["ok"] = True
                 else:
                     entry["ok"] = False
-                    entry["violations"] = [
-                        f"naturality fails for {counterexample.kind} "
-                        f"{tuple(counterexample.source)} -> {tuple(counterexample.target)}"
-                    ]
+                    entry["violations"] = [_naturality_failure(counterexample)]
             except (InvalidPseudoIdentity, ValueError) as exc:
                 entry["ok"] = False
                 entry["violations"] = [str(exc)]

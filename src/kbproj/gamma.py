@@ -122,7 +122,9 @@ class GammaHom:
       where some input coefficient was;
     - ``rigidity._generator_hom`` builds the generator named by a key of
       ``rigidity.generator_keys``, which listed the key only after
-      checking its vertices and its cone.
+      checking its vertices and its cone;
+    - ``rigidity.conjugation_data`` builds each key's image with
+      ``compose_coeffs``, which sets a coefficient only under its cone flag.
     """
 
     spec: AlgebraSpec
@@ -201,14 +203,36 @@ def hom_scale(h: GammaHom, coeff) -> GammaHom:
     return _trusted_hom(h.spec, h.source, h.target, c * h.f_coeff, c * h.g_coeff)
 
 
-def gamma_compose(second: GammaHom, first: GammaHom) -> GammaHom:
-    """Composite ``second after first``.
+def compose_coeffs(f2, g2, f1, g1, in_f: bool, in_g: bool) -> tuple[Fraction, Fraction]:
+    """Coefficients (f, g) of ``(f2 f + g2 g) after (f1 f + g1 g)``.
 
-    The f-part composes to the f generator when it exists, the mixed
-    f/g products compose to the g generator when it exists, and the
-    g/g product always vanishes.  Products with a zero factor are
-    skipped, and a cone is tested only for a nonzero coefficient.
+    f.f lands on f when the outer endpoints' cone outcome ``in_f`` holds,
+    the mixed products land on g when ``in_g`` holds, and g.g is zero.
+    A factor equal to 1 is not multiplied; the other one is copied.
+
+    >>> two, three = Fraction(2), Fraction(3)
+    >>> compose_coeffs(_ZERO, two, _ZERO, three, True, True)
+    (Fraction(0, 1), Fraction(0, 1))
+    >>> compose_coeffs(two, _ZERO, _ZERO, three, True, False)
+    (Fraction(0, 1), Fraction(0, 1))
+    >>> compose_coeffs(two, _ZERO, _ONE, three, True, True)
+    (Fraction(2, 1), Fraction(6, 1))
     """
+    f = _ZERO
+    if in_f and f1 and f2:
+        f = f2 if f1 == 1 else f1 if f2 == 1 else f1 * f2
+    g = _ZERO
+    if in_g:
+        if f1 and g2:
+            g = g2 if f1 == 1 else f1 if g2 == 1 else f1 * g2
+        if g1 and f2:
+            term = g1 if f2 == 1 else f2 if g1 == 1 else g1 * f2
+            g = g + term if g else term
+    return f, g
+
+
+def gamma_compose(second: GammaHom, first: GammaHom) -> GammaHom:
+    """Composite ``second after first``; a cone is tested only if a nonzero product lands on it."""
     spec = first.spec
     if spec is not second.spec and spec != second.spec:
         raise ValueError("morphisms from different algebras")
@@ -216,16 +240,9 @@ def gamma_compose(second: GammaHom, first: GammaHom) -> GammaHom:
         raise ValueError("morphisms are not composable")
     source, target = first.source, second.target
     f1, g1, f2, g2 = first.f_coeff, first.g_coeff, second.f_coeff, second.g_coeff
-    f_coeff = _ZERO
-    if f1 and f2 and _in_F(spec, source, target):
-        f_coeff = f1 * f2
-    g_coeff = _ZERO
-    if f1 and g2:
-        g_coeff = f1 * g2
-    if g1 and f2:
-        g_coeff = g_coeff + g1 * f2 if g_coeff else g1 * f2
-    if g_coeff and not _in_G(spec, source, target):
-        g_coeff = _ZERO
+    in_f = bool(f1 and f2) and _in_F(spec, source, target)
+    in_g = bool(f1 and g2 or g1 and f2) and _in_G(spec, source, target)
+    f_coeff, g_coeff = compose_coeffs(f2, g2, f1, g1, in_f, in_g)
     return _trusted_hom(spec, source, target, f_coeff, g_coeff)
 
 

@@ -72,11 +72,10 @@ from .gamma import (
     _in_G,
     _trusted_hom,
     check_vertex,
+    compose_coeffs,
     gamma_compose,
     hom_f,
     hom_g,
-    hom_add,
-    hom_scale,
     identity_hom,
     in_F,
     in_G,
@@ -89,7 +88,6 @@ from .gamma import (
     theta_hom,
     theta_vertex,
     unsuspend_hom,
-    zero_hom,
 )
 from .linalg import SpanSolver
 from .quadruples import build_complex
@@ -157,12 +155,21 @@ def generator_keys(
     return tuple(out)
 
 
+@memoized("rigidity.generator_table")
+def generator_table(spec: AlgebraSpec, vertices: tuple[GammaVertex, ...]) -> dict:
+    """Each key of generator_keys, in order, mapped to its endpoints' (in_F, in_G); do not mutate."""
+    return {key: (_in_F(spec, key[1], key[2]), _in_G(spec, key[1], key[2]))
+            for key in generator_keys(spec, vertices)}
+
+
+# Coefficients (f, g) of the generator of each kind.
+_GENERATOR_COEFFS = {"f": (_ONE, _ZERO), "g": (_ZERO, _ONE)}
+
+
 def _generator_hom(spec: AlgebraSpec, key: tuple[str, GammaVertex, GammaVertex]) -> GammaHom:
     """The generator named by a key of generator_keys, which already checked its cone."""
     kind, source, target = key
-    if kind == "f":
-        return _trusted_hom(spec, source, target, _ONE, _ZERO)
-    return _trusted_hom(spec, source, target, _ZERO, _ONE)
+    return _trusted_hom(spec, source, target, *_GENERATOR_COEFFS[kind])
 
 
 # -- Pseudo-identity data ------------------------------------------------------
@@ -183,7 +190,7 @@ class PseudoIdentityData:
 
     def __post_init__(self):
         domain = conjugation_domain(self.spec, self.window)
-        expected = set(generator_keys(self.spec, domain))
+        expected = generator_table(self.spec, domain)
         index = {}
         for key, hom in self.images:
             kind, source, target = key
@@ -194,9 +201,8 @@ class PseudoIdentityData:
             if hom.spec != self.spec or hom.source != source or hom.target != target:
                 raise ValueError(f"image of {kind} {tuple(source)} -> {tuple(target)} moves endpoints")
             index[key] = hom
-        missing = expected - set(index)
-        if missing:
-            raise ValueError(f"missing images for {len(missing)} generators")
+        if len(index) < len(expected):
+            raise ValueError(f"missing images for {len(expected) - len(index)} generators")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_domain", domain)
 
@@ -205,15 +211,6 @@ class PseudoIdentityData:
 
     def image(self, kind: str, source: GammaVertex, target: GammaVertex) -> GammaHom:
         return self._index[(kind, source, target)]
-
-    def apply(self, h: GammaHom) -> GammaHom:
-        """Linear extension of the generator images to an arbitrary morphism."""
-        out = zero_hom(self.spec, h.source, h.target)
-        if h.f_coeff:
-            out = hom_add(out, hom_scale(self.image("f", h.source, h.target), h.f_coeff))
-        if h.g_coeff:
-            out = hom_add(out, hom_scale(self.image("g", h.source, h.target), h.g_coeff))
-        return out
 
 
 def identity_data(spec: AlgebraSpec, window: Window) -> PseudoIdentityData:
@@ -232,12 +229,15 @@ def conjugation_data(
     """
     domain = conjugation_domain(spec, window)
     inverses = {v: invert_hom(unit_family[v]) for v in domain}
+    if any(inverses[v].spec != spec or inverses[v].source != v for v in domain):
+        raise ValueError("the unit family has an entry that is not an automorphism of its vertex")
     images = []
-    for key in generator_keys(spec, domain):
+    for key, (in_f, in_g) in generator_table(spec, domain).items():
         kind, source, target = key
-        h = _generator_hom(spec, key)
-        image = gamma_compose(unit_family[target], gamma_compose(h, inverses[source]))
-        images.append((key, image))
+        inverse, unit = inverses[source], unit_family[target]
+        f, g = compose_coeffs(*_GENERATOR_COEFFS[kind], inverse.f_coeff, inverse.g_coeff, in_f, in_g)
+        f, g = compose_coeffs(unit.f_coeff, unit.g_coeff, f, g, in_f, in_g)
+        images.append((key, _trusted_hom(spec, source, target, f, g)))
     return PseudoIdentityData(spec, window, tuple(images))
 
 
@@ -276,33 +276,33 @@ def validate_pseudo_identity(F: PseudoIdentityData) -> list[str]:
 
     Checks that morphisms between shifted-projective vertices are fixed
     and that the images respect composition on every composable pair of
-    window generators.
+    window generators.  The composite of two generators is one generator
+    or zero, so each pair compares F of it with the product of the images.
     """
     spec = F.spec
     problems = []
-    keys = generator_keys(spec, F.vertices())
+    keys = generator_table(spec, F.vertices())
+    image = F._index
+    projective = {v for v in F.vertices() if is_shifted_projective(spec, v) is not None}
     outgoing: dict[GammaVertex, list[tuple[str, GammaVertex, GammaVertex]]] = {}
     for key in keys:
         outgoing.setdefault(key[1], []).append(key)
         kind, source, target = key
-        if (
-            is_shifted_projective(spec, source) is not None
-            and is_shifted_projective(spec, target) is not None
-        ):
-            if F.image(*key) != _generator_hom(spec, key):
-                problems.append(
-                    f"{kind} {tuple(source)} -> {tuple(target)} between shifted projectives is moved"
-                )
+        if source in projective and target in projective and image[key] != _generator_hom(spec, key):
+            problems.append(
+                f"{kind} {tuple(source)} -> {tuple(target)} between shifted projectives is moved"
+            )
     for first_key in keys:
         kind1, source, middle = first_key
-        h1 = _generator_hom(spec, first_key)
-        fh1 = F.image(*first_key)
+        fh1 = image[first_key]
         for second_key in outgoing.get(middle, ()):
             kind2, _, target = second_key
-            composite = gamma_compose(_generator_hom(spec, second_key), h1)
-            lhs = F.apply(composite)
-            rhs = gamma_compose(F.image(*second_key), fh1)
-            if lhs != rhs:
+            fh2 = image[second_key]
+            in_f, in_g = ("f", source, target) in keys, ("g", source, target) in keys
+            rhs = compose_coeffs(fh2.f_coeff, fh2.g_coeff, fh1.f_coeff, fh1.g_coeff, in_f, in_g)
+            kind = "f" if kind1 == kind2 == "f" else "g" if kind1 != kind2 else None
+            lhs = image.get((kind, source, target))
+            if rhs != ((lhs.f_coeff, lhs.g_coeff) if lhs is not None else (_ZERO, _ZERO)):
                 problems.append(
                     f"composition broken: {kind2} after {kind1} from "
                     f"{tuple(source)} via {tuple(middle)} to {tuple(target)}"
@@ -324,7 +324,7 @@ class AutomorphismFamily:
         index = {}
         for vertex, hom in self.homs:
             check_vertex(self.spec, vertex)
-            if hom.source != vertex or hom.target != vertex:
+            if hom.spec != self.spec or hom.source != vertex or hom.target != vertex:
                 raise ValueError(f"family entry at {tuple(vertex)} is not an endomorphism")
             if not is_isomorphism(hom):
                 raise ValueError(f"family entry at {tuple(vertex)} is not invertible")
@@ -434,15 +434,24 @@ class NaturalityCounterexample(NamedTuple):
 def verify_naturality(
     phi: AutomorphismFamily, F: PseudoIdentityData
 ) -> NaturalityCounterexample | None:
-    """First generator with phi_U o F(h) != h o phi_V, or None when natural."""
+    """First generator with phi_U o F(h) != h o phi_V, or None when natural.
+
+    ValueError when phi is over another algebra or misses a data vertex.
+    """
     spec = F.spec
-    for key in generator_keys(spec, F.vertices()):
+    if phi.spec != spec:
+        raise ValueError("morphisms from different algebras")
+    family = phi._index
+    for v in F.vertices():
+        if v not in family:
+            raise ValueError(f"family has no automorphism at {tuple(v)}")
+    for key, (in_f, in_g) in generator_table(spec, F.vertices()).items():
         kind, source, target = key
-        if source not in phi or target not in phi:
-            continue
-        lhs = gamma_compose(phi[target], F.image(*key))
-        rhs = gamma_compose(_generator_hom(spec, key), phi[source])
+        image, before, after = F._index[key], family[source], family[target]
+        lhs = compose_coeffs(after.f_coeff, after.g_coeff, image.f_coeff, image.g_coeff, in_f, in_g)
+        rhs = compose_coeffs(*_GENERATOR_COEFFS[kind], before.f_coeff, before.g_coeff, in_f, in_g)
         if lhs != rhs:
+            lhs, rhs = gamma_compose(after, image), gamma_compose(_generator_hom(spec, key), before)
             return NaturalityCounterexample(kind, source, target, lhs, rhs)
     return None
 
@@ -715,10 +724,10 @@ def build_eta(spec: AlgebraSpec, omega: ConnectingIsoData) -> AutomorphismFamily
 
     for vertex in domain:
         build(vertex)
-    for key in generator_keys(spec, domain):
-        kind, source, target = key
-        h = _generator_hom(spec, key)
-        if gamma_compose(eta[target], h) != gamma_compose(h, eta[source]):
+    for (kind, source, target), (in_f, in_g) in generator_table(spec, domain).items():
+        h, before, after = _GENERATOR_COEFFS[kind], eta[source], eta[target]
+        lhs = compose_coeffs(after.f_coeff, after.g_coeff, *h, in_f, in_g)
+        if lhs != compose_coeffs(*h, before.f_coeff, before.g_coeff, in_f, in_g):
             raise ValueError(f"eta is not natural at {kind} {tuple(source)} -> {tuple(target)}")
     for vertex in domain:
         sv = suspend_vertex(spec, vertex)

@@ -41,6 +41,7 @@ TABLES = (
     "gamma.theta_hom",
     "rigidity.conjugation_domain",
     "rigidity.generator_keys",
+    "rigidity.generator_table",
 )
 
 

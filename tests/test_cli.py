@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from kbproj import cli
 from kbproj.cli import main
 
 
@@ -281,3 +283,103 @@ def test_window_that_cannot_seed_is_a_usage_error(capsys, command, a, b, reason)
     assert out == ""
     assert err.startswith("error: --a/--b:")
     assert reason in err
+
+
+# L(1,0) on the window a = 0, b in [0, 1]: the vertices (0,0,0) and (0,0,1),
+# written out by hand.  Every image is its generator, except where a test
+# replaces one.
+HAND_MADE = {
+    "schema": 1,
+    "algebra": [1, 0],
+    "window": [0, 0, 0, 1],
+    "images": [
+        {"kind": kind, "source": source, "target": target,
+         "f": "1" if kind == "f" else "0", "g": "1" if kind == "g" else "0"}
+        for kind, source, target in (
+            ("f", [0, 0, 0], [0, 0, 0]),
+            ("g", [0, 0, 0], [0, 0, 0]),
+            ("f", [0, 0, 0], [0, 0, 1]),
+            ("g", [0, 0, 1], [0, 0, 0]),
+            ("f", [0, 0, 1], [0, 0, 1]),
+            ("g", [0, 0, 1], [0, 0, 1]),
+        )
+    ],
+}
+
+
+def write_hand_made(tmp_path, **f_of_key) -> str:
+    obj = json.loads(json.dumps(HAND_MADE))
+    for item in obj["images"]:
+        name = f"{item['kind']}_{''.join(map(str, item['source'] + item['target']))}"
+        if name in f_of_key:
+            item["f"] = f_of_key[name]
+    path = tmp_path / "hand.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def doubled_at(vertex):
+    """construct_conjugation, with the automorphism at ``vertex`` doubled afterwards."""
+    from kbproj.gamma import GammaHom
+    from kbproj.rigidity import AutomorphismFamily, construct_conjugation
+
+    def construct(data):
+        family = construct_conjugation(data)
+        homs = [
+            (v, GammaHom(h.spec, v, v, 2 * h.f_coeff, h.g_coeff) if v == vertex else h)
+            for v, h in family.homs
+        ]
+        return AutomorphismFamily(family.spec, tuple(homs))
+
+    return construct
+
+
+def test_rigidity_check_hand_made_file(capsys, tmp_path):
+    path = write_hand_made(tmp_path)
+    code, out, _ = run(capsys, "--algebra", "1,0", "rigidity-check", "--input", path)
+    assert code == 0
+    assert out.strip().endswith("OK")
+    path = write_hand_made(tmp_path, f_000001="3")
+    code, out, _ = run(
+        capsys, "--algebra", "1,0", "rigidity-check", "--input", path, "--format", "json"
+    )
+    assert code == 1
+    violations = json.loads(out)["instances"][0]["violations"]
+    assert violations == [
+        "composition broken: g after f from (0, 0, 0) via (0, 0, 1) to (0, 0, 0)",
+        "composition broken: f after g from (0, 0, 1) via (0, 0, 0) to (0, 0, 1)",
+    ]
+
+
+def test_rigidity_check_naturality_failure_names_both_sides(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "construct_conjugation", doubled_at((0, 0, 1)))
+    path = write_hand_made(tmp_path)
+    code, out, _ = run(
+        capsys, "--algebra", "1,0", "rigidity-check", "--input", path, "--format", "json"
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert "family" not in report
+    assert report["instances"][0]["violations"] == [
+        "naturality fails for f (0, 0, 0) -> (0, 0, 1): "
+        "phi o F(h) = 2 f + 0 g, h o phi = 1 f + 0 g"
+    ]
+
+
+def test_verify_naturality_failure_names_both_sides(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "construct_conjugation", doubled_at((0, 1, 1)))
+    code, out, _ = run(
+        capsys,
+        "--algebra", "2,1",
+        "verify", "--k", "0:0", "--l", "0", "--a", "-1:1", "--b", "-1:1",
+        "--oracle", "off", "--format", "json",
+    )
+    assert code == 1
+    rigidity = next(s for s in json.loads(out)["suites"] if s["name"] == "rigidity")
+    assert rigidity["checks"] == 4 and len(rigidity["failures"]) == 4
+    line = re.compile(
+        r"seed \d+: naturality fails for [fg] \(.*\) -> \(.*\): "
+        r"phi o F\(h\) = -?\d+(/\d+)? f \+ -?\d+(/\d+)? g, "
+        r"h o phi = -?\d+(/\d+)? f \+ -?\d+(/\d+)? g"
+    )
+    assert all(line.fullmatch(failure) for failure in rigidity["failures"][1:])

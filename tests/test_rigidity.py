@@ -281,3 +281,25 @@ def test_random_conjugation_property(seed):
     data = random_pseudo_identity(spec, (-1, 1, -1, 1), seed)
     family = construct_conjugation(data)
     assert verify_naturality(family, data) is None
+
+
+def test_naturality_rejects_a_family_that_misses_data_vertices():
+    spec = AlgebraSpec(3, 2)
+    data = random_pseudo_identity(spec, WINDOW, 3)
+    for family in (identity_family(spec, ()), identity_family(spec, data.vertices()[:1])):
+        with pytest.raises(ValueError, match="no automorphism at"):
+            verify_naturality(family, data)
+    other = construct_conjugation(random_pseudo_identity(AlgebraSpec(2, 1), WINDOW, 3))
+    with pytest.raises(ValueError, match="different algebras"):
+        verify_naturality(other, data)
+
+
+def test_families_and_unit_families_stay_over_their_algebra_and_vertex():
+    spec, other = AlgebraSpec(2, 1), AlgebraSpec(3, 2)
+    v, w = GammaVertex(0, 0, 0), GammaVertex(0, 0, 1)
+    with pytest.raises(ValueError, match="not an endomorphism"):
+        AutomorphismFamily(spec, ((v, identity_hom(other, v)),))
+    unit = random_unit_family(spec, conjugation_domain(spec, WINDOW), Random(4))
+    for bad in (identity_hom(other, v), identity_hom(spec, w)):
+        with pytest.raises(ValueError, match="not an automorphism of its vertex"):
+            conjugation_data(spec, WINDOW, {**unit, v: bad})
