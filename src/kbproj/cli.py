@@ -475,7 +475,7 @@ def cmd_rigidity_check(spec: AlgebraSpec, args: argparse.Namespace) -> int:
         try:
             with open(args.input, "r", encoding="utf-8") as handle:
                 data = pseudo_identity_from_obj(json.load(handle))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load pseudo-identity data: {exc}") from None
         if data.spec != spec:
             raise UsageError("data algebra does not match --algebra")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .algebra import (
@@ -31,7 +32,7 @@ from .algebra import (
 )
 from .linalg import SpanSolver, add_entry, nullspace, rank
 
-_HOMOTOPY_SOLVERS = memo_table("complexes.homotopy_solver")
+_QUOTIENTS = memo_table("complexes.hom_quotient")
 
 
 Matrix = tuple[tuple[PathCombination, ...], ...]
@@ -334,6 +335,14 @@ def scale_chain_map(f: ChainMap, coeff) -> ChainMap:
     return ChainMap(f.source, f.target, comps)
 
 
+def combine_chain_maps(source: ProjComplex, target: ProjComplex, maps, coeffs) -> ChainMap:
+    """sum_j coeffs[j] maps[j], a map source -> target; coeffs is a dict j -> scalar."""
+    total = zero_chain_map(source, target)
+    for j, coeff in coeffs.items():
+        total = add_chain_maps(total, scale_chain_map(maps[j], coeff))
+    return total
+
+
 def shift_chain_map(f: ChainMap, t: int) -> ChainMap:
     return ChainMap(
         shift(f.source, t),
@@ -498,24 +507,6 @@ def _homotopy_images(c: ProjComplex, d: ProjComplex, findex):
     return images
 
 
-@dataclass(frozen=True)
-class HomSpace:
-    dimension: int
-    basis: list[ChainMap]
-
-
-def hom_space_dimension(c: ProjComplex, d: ProjComplex) -> int:
-    """Dimension of the hom space in the homotopy category."""
-    if c.spec != d.spec:
-        raise ValueError("hom across different algebras")
-    fvars, findex = _hom_variables(c, d, 0)
-    if not fvars:
-        return 0
-    eqs = _chain_equations(c, d, fvars)
-    images = _homotopy_images(c, d, findex)
-    return len(fvars) - rank(eqs) - rank(images)
-
-
 def _lift_vector(c: ProjComplex, d: ProjComplex, fvars, vec) -> ChainMap:
     comps: dict[int, list[list[PathCombination]]] = {}
     for j, (i, r, col, p) in enumerate(fvars):
@@ -529,34 +520,6 @@ def _lift_vector(c: ProjComplex, d: ProjComplex, fvars, vec) -> ChainMap:
             ]
         comps[i][r][col] = comps[i][r][col] + PathCombination.of(p, coeff)
     return make_chain_map(c, d, {i: tuple(tuple(r) for r in m) for i, m in comps.items()})
-
-
-def hom_space(c: ProjComplex, d: ProjComplex) -> HomSpace:
-    """Basis of Hom up to homotopy, represented by actual chain maps.
-
-    Representatives are the echelon choice over the fixed variable order
-    (degree, row, column, path), so repeated runs agree exactly.
-    """
-    if c.spec != d.spec:
-        raise ValueError("hom across different algebras")
-    fvars, findex = _hom_variables(c, d, 0)
-    if not fvars:
-        return HomSpace(0, [])
-    eqs = _chain_equations(c, d, fvars)
-    cycles = nullspace(eqs, len(fvars))
-    solver = SpanSolver()
-    for img in _homotopy_images(c, d, findex):
-        solver.add_generator(img)
-    boundary_rank = solver.rank
-    dim = len(cycles) - boundary_rank
-    basis = []
-    for z in cycles:
-        if len(basis) == dim:
-            break
-        if not solver.contains(z):
-            solver.add_generator(z)
-            basis.append(_lift_vector(c, d, fvars, z))
-    return HomSpace(dim, basis)
 
 
 def _map_vector(f: ChainMap, findex) -> dict[int, Fraction]:
@@ -574,25 +537,109 @@ def _map_vector(f: ChainMap, findex) -> dict[int, Fraction]:
     return vec
 
 
-def _homotopy_solver(c: ProjComplex, d: ProjComplex):
-    cache_key = (c.key(), d.key())
-    hit = _HOMOTOPY_SOLVERS.get(cache_key)
-    if hit is not None:
-        return hit
-    fvars, findex = _hom_variables(c, d, 0)
-    solver = SpanSolver()
-    for img in _homotopy_images(c, d, findex):
-        solver.add_generator(img)
-    result = (solver, findex)
-    _HOMOTOPY_SOLVERS[cache_key] = result
-    return result
+class HomQuotient:
+    """Hom(C, D) in the homotopy category: chain maps C -> D modulo null-homotopy.
+
+    Maps are vectors over the variables of ``_hom_variables(c, d, 0)``.
+    The images of the unit homotopies are reduced once, into the boundary
+    echelon; ``contains`` reduces against it, and ``rank``, ``solve`` and
+    ``basis`` extend a copy of it, so no query eliminates them again.
+    ``basis`` is the echelon choice over the variable order (degree, row,
+    column, path), so repeated runs agree exactly.
+
+    Over ``L(1, 0)``, the identity of the cone of ``id: P_0 -> P_0`` is
+    null-homotopic, and the stalk complex ``P_0`` has the idempotent and
+    the loop as its basis of endomorphisms:
+
+    >>> from kbproj.algebra import AlgebraSpec
+    >>> spec = AlgebraSpec(1, 0)
+    >>> cone = mapping_cone(identity_chain_map(stalk_complex(spec, 0)))
+    >>> HomQuotient(cone, cone).contains(identity_chain_map(cone))
+    True
+    >>> end = HomQuotient(stalk_complex(spec, 0), stalk_complex(spec, 0))
+    >>> end.dimension, [f.components[0][0][0] for f in end.basis]
+    (2, [e(0), a(0)])
+    >>> end.rank(end.basis + [identity_chain_map(end.source)])
+    2
+    >>> end.solve(end.basis, scale_chain_map(end.basis[1], 3))
+    {1: Fraction(3, 1)}
+    """
+
+    def __init__(self, c: ProjComplex, d: ProjComplex) -> None:
+        if c.spec != d.spec:
+            raise ValueError("hom across different algebras")
+        self.source, self.target = c, d
+        self._vars, self._index = _hom_variables(c, d, 0)
+        self._boundary = SpanSolver(_homotopy_images(c, d, self._index) if self._vars else ())
+
+    @property  # read once per quotient by hom_space_dimension; caching it costs more
+    def dimension(self) -> int:
+        if not self._vars:
+            return 0
+        eqs = _chain_equations(self.source, self.target, self._vars)
+        return len(self._vars) - rank(eqs) - self._boundary.rank
+
+    @cached_property
+    def basis(self) -> list[ChainMap]:
+        eqs = _chain_equations(self.source, self.target, self._vars)
+        cycles = nullspace(eqs, len(self._vars))
+        dim = len(cycles) - self._boundary.rank
+        span = self._boundary.copy()
+        basis = []
+        for z in cycles:
+            if len(basis) == dim:
+                break
+            if span.add_relation(z):
+                basis.append(_lift_vector(self.source, self.target, self._vars, z))
+        return basis
+
+    def contains(self, f: ChainMap) -> bool:
+        """Whether the chain map f: C -> D is null-homotopic."""
+        try:
+            vec = _map_vector(f, self._index)
+        except ValueError:
+            return False
+        return self._boundary.contains(vec)
+
+    def rank(self, maps) -> int:
+        """Dimension of the span of the maps C -> D modulo null-homotopy."""
+        span = self._boundary.copy()
+        return sum(span.add_relation(_map_vector(f, self._index)) for f in maps)
+
+    def solve(self, generators, rhs: ChainMap) -> dict[int, Fraction] | None:
+        """Coefficients c_j with rhs ~ sum_j c_j generators[j], or None."""
+        span = self._boundary.copy()
+        for gen in generators:
+            span.add_generator(_map_vector(gen, self._index))
+        return span.solve(_map_vector(rhs, self._index))
+
+
+def quotient(c: ProjComplex, d: ProjComplex) -> HomQuotient:
+    """The memoized HomQuotient(c, d), keyed on the two complexes."""
+    key = (c.key(), d.key())
+    hit = _QUOTIENTS.get(key)
+    if hit is None:
+        hit = _QUOTIENTS[key] = HomQuotient(c, d)
+    return hit
+
+
+def hom_space_dimension(c: ProjComplex, d: ProjComplex) -> int:
+    """Dimension of the hom space in the homotopy category.
+
+    Sweeps ask many distinct pairs once each, so this leaves the memo alone.
+    """
+    return HomQuotient(c, d).dimension
+
+
+def hom_space(c: ProjComplex, d: ProjComplex) -> HomQuotient:
+    """Hom up to homotopy, with ``dimension`` and a ``basis`` of chain maps."""
+    return HomQuotient(c, d)
 
 
 def homotopy_rank(maps: list[ChainMap]) -> int:
     """Rank of the span of the given chain maps in the homotopy category.
 
-    All maps must share source and target.  Builds a fresh solver so the
-    cached boundary solvers stay untouched.
+    All maps must share source and target.
     """
     if not maps:
         return 0
@@ -600,14 +647,7 @@ def homotopy_rank(maps: list[ChainMap]) -> int:
     for f in maps[1:]:
         if f.source.key() != first.source.key() or f.target.key() != first.target.key():
             raise ValueError("maps must share source and target")
-    fvars, findex = _hom_variables(first.source, first.target, 0)
-    solver = SpanSolver()
-    for img in _homotopy_images(first.source, first.target, findex):
-        solver.add_generator(img)
-    base = solver.rank
-    for f in maps:
-        solver.add_generator(_map_vector(f, findex))
-    return solver.rank - base
+    return quotient(first.source, first.target).rank(maps)
 
 
 def is_null_homotopic(f: ChainMap) -> bool:
@@ -619,12 +659,7 @@ def is_null_homotopic(f: ChainMap) -> bool:
     problem = validate_chain_map(f)
     if problem is not None:
         raise ValueError(f"not a chain map: {problem}")
-    solver, findex = _homotopy_solver(f.source, f.target)
-    try:
-        vec = _map_vector(f, findex)
-    except ValueError:
-        return False
-    return solver.contains(vec)
+    return quotient(f.source, f.target).contains(f)
 
 
 def is_contractible(c: ProjComplex) -> bool:
@@ -738,28 +773,6 @@ def _signature(c: ProjComplex) -> tuple:
     return tuple(sorted((i, tuple(sorted(s))) for i, s in c.summands.items()))
 
 
-def _try_inverse(f: ChainMap, backward: HomSpace, findex, images, identity) -> ChainMap | None:
-    """Solve g f ~ id_source over the hom basis ``backward`` of maps target -> source.
-
-    ``findex`` indexes the variables of maps source -> source, ``images``
-    are their homotopy images and ``identity`` is the identity's vector.
-    """
-    solver = SpanSolver()
-    for g in backward.basis:
-        solver.add_generator(_map_vector(compose_chain_maps(g, f), findex))
-    n_g = len(backward.basis)
-    for img in images:
-        solver.add_generator(img)
-    sol = solver.solve(identity)
-    if sol is None:
-        return None
-    g = zero_chain_map(f.target, f.source)
-    for idx, coeff in sol.items():
-        if idx < n_g and coeff:
-            g = add_chain_maps(g, scale_chain_map(backward.basis[idx], coeff))
-    return g
-
-
 def is_isomorphic_K(c: ProjComplex, d: ProjComplex) -> IsoResult:
     """Isomorphism test in the homotopy category, with explicit witnesses.
 
@@ -775,33 +788,33 @@ def is_isomorphic_K(c: ProjComplex, d: ProjComplex) -> IsoResult:
         return IsoResult(False)
     if is_contractible(c):
         return IsoResult(True, zero_chain_map(c, d), zero_chain_map(d, c))
-    forward = hom_space(c, d)
-    if not forward.basis:
+    forward = hom_space(c, d).basis
+    if not forward:
         return IsoResult(False)
-    # Everything but g f depends only on (c, d): build it once for all candidates.
-    backward = hom_space(d, c)
-    if not backward.basis:
+    backward = hom_space(d, c).basis
+    if not backward:
         return IsoResult(False)
-    _, findex = _hom_variables(c, c, 0)
-    images = _homotopy_images(c, c, findex)
-    identity = _map_vector(identity_chain_map(c), findex)
+    endo = quotient(c, c)
+    identity = identity_chain_map(c)
     minus_identity_d = scale_chain_map(identity_chain_map(d), -1)
-    candidates = list(forward.basis)
-    if len(forward.basis) > 1:
-        total = forward.basis[0]
-        for f in forward.basis[1:]:
+    candidates = list(forward)
+    if len(forward) > 1:
+        total = forward[0]
+        for f in forward[1:]:
             total = add_chain_maps(total, f)
         candidates.append(total)
         rng = random.Random(0)
         for _ in range(6):
             combo = zero_chain_map(c, d)
-            for f in forward.basis:
+            for f in forward:
                 combo = add_chain_maps(combo, scale_chain_map(f, rng.randint(1, 7)))
             candidates.append(combo)
     for f in candidates:
-        g = _try_inverse(f, backward, findex, images, identity)
-        if g is None:
+        # g is a homotopy left inverse of f, built on the backward basis
+        sol = endo.solve([compose_chain_maps(g, f) for g in backward], identity)
+        if sol is None:
             continue
+        g = combine_chain_maps(d, c, backward, sol)
         diff = add_chain_maps(compose_chain_maps(f, g), minus_identity_d)
         if is_null_homotopic(diff):
             return IsoResult(True, f, g)
@@ -838,29 +851,35 @@ def complex_to_obj(c: ProjComplex) -> dict:
 
 
 def complex_from_obj(obj: dict) -> ProjComplex:
+    """The complex stored in obj; ValueError on anything malformed."""
+    if not isinstance(obj, dict):
+        raise ValueError("malformed complex: expected a JSON object")
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
-    spec = AlgebraSpec(int(obj["algebra"][0]), int(obj["algebra"][1]))
-    summands = {int(i): tuple(int(v) for v in s) for i, s in obj["degrees"].items()}
-    diffs = {}
-    for key, rows in obj.get("differentials", {}).items():
-        i = int(key)
-        row_verts = summands.get(i + 1, ())
-        mat = []
-        for r, row in enumerate(rows):
-            cells = []
-            for cell in row:
-                acc = PathCombination.zero()
-                for arrows, num, den in cell:
-                    arrows = tuple(int(w) for w in arrows)
-                    start = spec.arrow_source(arrows[-1]) if arrows else row_verts[r]
-                    acc = acc + PathCombination.of(
-                        Path(start, arrows), Fraction(int(num), int(den))
-                    )
-                cells.append(acc)
-            mat.append(tuple(cells))
-        diffs[i] = tuple(mat)
+    try:
+        spec = AlgebraSpec(int(obj["algebra"][0]), int(obj["algebra"][1]))
+        summands = {int(i): tuple(int(v) for v in s) for i, s in obj["degrees"].items()}
+        diffs = {}
+        for key, rows in obj.get("differentials", {}).items():
+            i = int(key)
+            row_verts = summands.get(i + 1, ())
+            mat = []
+            for r, row in enumerate(rows):
+                cells = []
+                for cell in row:
+                    acc = PathCombination.zero()
+                    for arrows, num, den in cell:
+                        arrows = tuple(int(w) for w in arrows)
+                        start = spec.arrow_source(arrows[-1]) if arrows else row_verts[r]
+                        acc = acc + PathCombination.of(
+                            Path(start, arrows), Fraction(int(num), int(den))
+                        )
+                    cells.append(acc)
+                mat.append(tuple(cells))
+            diffs[i] = tuple(mat)
+    except (AttributeError, IndexError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed complex: {type(exc).__name__}: {exc}") from None
     c = ProjComplex(spec, summands, diffs)
     problem = validate_complex(c)
     if problem is not None:

@@ -1,15 +1,17 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts column -> coefficient with zeros absent.  Rank uses
-fraction-free integer elimination with gcd normalization so entries stay
-small; solving and nullspaces use Fraction back-substitution.  Everything
-is deterministic: pivots are chosen by smallest column index.
+Vectors are dicts column -> coefficient with zeros absent.  Rank,
+nullspaces and span solving share one elimination step, ``_insert``: a
+row is reduced against a Fraction echelon and kept, with pivot
+coefficient 1, if anything is left.  Only ``SpanSolver`` tracks how each
+row combines its generators.  Everything is deterministic: a row's pivot
+is its smallest column index.
 """
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
-from math import gcd, lcm
 
 _ONE = Fraction(1)
 
@@ -49,53 +51,46 @@ def _subtract_multiple(row: dict, factor: Fraction, prow: dict) -> None:
                 del row[j]
 
 
-def _int_rows(rows):
-    """Clear denominators row by row; accepts int or Fraction entries."""
-    out = []
-    for row in rows:
-        den = 1
-        for c in row.values():
-            if c.denominator != 1:
-                den = lcm(den, c.denominator)
-        cleared = {j: c.numerator * (den // c.denominator) for j, c in row.items() if c}
-        if cleared:
-            out.append(cleared)
-    return out
+def _reduce(echelon: list, row: dict, combo: dict | None) -> None:
+    """Reduce row in place against echelon rows (pivot, row, combo).
+
+    An echelon row with a nonempty combination passes it on to combo; a
+    caller that tracks none passes combo None over an echelon holding none.
+    """
+    for pcol, prow, pcombo in echelon:
+        if pcol in row:
+            factor = row[pcol]
+            _subtract_multiple(row, factor, prow)
+            if pcombo:
+                _subtract_multiple(combo, factor, pcombo)
 
 
-def _normalize(row):
-    g = 0
-    for c in row.values():
-        g = gcd(g, c)
-        if g == 1:
-            return row
-    if g > 1:
-        return {j: c // g for j, c in row.items()}
-    return row
+def _insert(echelon: list, row: dict, combo: dict | None = None) -> bool:
+    """Reduce row and append it with pivot coefficient 1; False if it vanished."""
+    _reduce(echelon, row, combo)
+    if not row:
+        return False
+    pivot = min(row)
+    lead = row[pivot]
+    if lead != 1:
+        inv = 1 / lead
+        row = {j: c * inv for j, c in row.items()}
+        if combo:
+            combo = {i: c * inv for i, c in combo.items()}
+    echelon.append((pivot, row, combo))
+    return True
+
+
+def _echelon(rows) -> list:
+    echelon: list = []
+    for raw in rows:
+        _insert(echelon, _fraction_row(raw))
+    return echelon
 
 
 def rank(rows) -> int:
     """Rank of a sparse matrix given as an iterable of dict rows."""
-    work = _int_rows(rows)
-    eliminated = []  # (pivot_col, row)
-    work.sort(key=lambda r: min(r))
-    result = 0
-    while work:
-        row = work.pop(0)
-        for pcol, prow in eliminated:
-            if pcol in row:
-                a, b = prow[pcol], row[pcol]
-                row = {
-                    j: prow.get(j, 0) * (-b) + row.get(j, 0) * a
-                    for j in set(prow) | set(row)
-                }
-                row = {j: c for j, c in row.items() if c}
-        if not row:
-            continue
-        row = _normalize(row)
-        eliminated.append((min(row), row))
-        result += 1
-    return result
+    return len(_echelon(rows))
 
 
 def nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
@@ -104,28 +99,15 @@ def nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
     Columns are 0..ncols-1; basis vectors come in increasing order of
     their free column, each with coefficient 1 there.
     """
-    echelon: list[tuple[int, dict[int, Fraction]]] = []  # (pivot, row), pivot coeff 1
-    for raw in rows:
-        row = _fraction_row(raw)
-        for pcol, prow in echelon:
-            if pcol in row:
-                _subtract_multiple(row, row[pcol], prow)
-        if not row:
-            continue
-        pivot = min(row)
-        inv = 1 / row[pivot]
-        if inv != 1:
-            row = {j: c * inv for j, c in row.items()}
-        echelon.append((pivot, row))
-    echelon.sort(key=lambda it: it[0])
+    echelon = sorted(_echelon(rows), key=lambda it: it[0])
     # Back-substitute to reduced form so each basis vector reads off directly.
     for idx in range(len(echelon) - 1, -1, -1):
-        pcol, prow = echelon[idx]
+        pcol, prow, _ = echelon[idx]
         for jdx in range(idx):
-            qcol, qrow = echelon[jdx]
+            qrow = echelon[jdx][1]
             if pcol in qrow:
                 _subtract_multiple(qrow, qrow[pcol], prow)
-    pivots = {pcol: prow for pcol, prow in echelon}
+    pivots = {pcol: prow for pcol, prow, _ in echelon}
     basis = []
     for free in range(ncols):
         if free in pivots:
@@ -141,45 +123,42 @@ def nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
 class SpanSolver:
     """Incremental span membership and solving over the rationals.
 
-    Generators are added once; solve(rhs) expresses rhs in terms of the
-    generator indices, or returns None when rhs is outside the span.
+    The span holds relations, which carry no index, and generators, which
+    are numbered 0, 1, ... in the order they are added; solve(rhs)
+    expresses rhs as a combination of generators plus an element of the
+    span of the relations, or returns None when rhs is outside the span.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, relations=()) -> None:
         self._rows: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
         self._count = 0
+        for vec in relations:
+            self.add_relation(vec)
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
+    def copy(self) -> SpanSolver:
+        """A solver with the same span that can be extended on its own."""
+        twin = copy.copy(self)
+        twin._rows = list(self._rows)  # rows are never changed once stored
+        return twin
+
+    def add_relation(self, vec) -> bool:
+        """Add vec to the span without an index; False if it was already there."""
+        return _insert(self._rows, _fraction_row(vec), {})
+
     def add_generator(self, vec) -> None:
         index = self._count
         self._count += 1
-        row = _fraction_row(vec)
-        combo = {index: _ONE}
-        row, combo = self._reduce(row, combo)
-        if row:
-            pivot = min(row)
-            inv = 1 / row[pivot]
-            if inv != 1:
-                row = {j: c * inv for j, c in row.items()}
-                combo = {i: c * inv for i, c in combo.items()}
-            self._rows.append((pivot, row, combo))
-
-    def _reduce(self, row, combo):
-        for pcol, prow, pcombo in self._rows:
-            if pcol in row:
-                factor = row[pcol]
-                _subtract_multiple(row, factor, prow)
-                _subtract_multiple(combo, factor, pcombo)
-        return row, combo
+        _insert(self._rows, _fraction_row(vec), {index: _ONE})
 
     def solve(self, rhs) -> dict[int, Fraction] | None:
-        """Coefficients over generator indices with sum_i c_i gen_i = rhs."""
+        """Coefficients over generator indices with rhs = sum_i c_i gen_i modulo relations."""
         row = _fraction_row(rhs)
         combo: dict[int, Fraction] = {}
-        row, combo = self._reduce(row, combo)
+        _reduce(self._rows, row, combo)
         if row:
             return None
         return {i: -c for i, c in combo.items() if c}

@@ -46,12 +46,11 @@ from typing import NamedTuple
 from .algebra import AlgebraSpec, Path, PathCombination, memoized
 from .complexes import (
     ChainMap,
+    HomQuotient,
     ProjComplex,
     SCHEMA_VERSION,
-    _hom_variables,
-    _homotopy_images,
-    _map_vector,
     add_chain_maps,
+    combine_chain_maps,
     compose_chain_maps,
     cone_inclusion,
     cone_projection,
@@ -89,7 +88,6 @@ from .gamma import (
     theta_vertex,
     unsuspend_hom,
 )
-from .linalg import SpanSolver
 from .quadruples import build_complex
 
 Window = tuple[int, int, int, int]
@@ -473,25 +471,6 @@ class StandardTriangle(NamedTuple):
     certificate: TriangleCertificate
 
 
-def _express_in_span(
-    generators: list[ChainMap],
-    boundary_source: ProjComplex,
-    boundary_target: ProjComplex,
-    rhs: ChainMap,
-) -> dict[int, Fraction] | None:
-    """Coefficients over the generators expressing rhs modulo null-homotopy."""
-    fvars, findex = _hom_variables(boundary_source, boundary_target, 0)
-    solver = SpanSolver()
-    for gen in generators:
-        solver.add_generator(_map_vector(gen, findex))
-    for img in _homotopy_images(boundary_source, boundary_target, findex):
-        solver.add_generator(img)
-    solution = solver.solve(_map_vector(rhs, findex))
-    if solution is None:
-        return None
-    return {j: c for j, c in solution.items() if j < len(generators) and c}
-
-
 def _suspension_comparison(spec: AlgebraSpec, v: GammaVertex) -> ChainMap:
     """The alternating-sign isomorphism Theta(suspension of v) -> shift(Theta(v), 1)."""
     shifted = shift(build_complex(spec, theta_vertex(spec, v)), 1)
@@ -539,25 +518,19 @@ def standard_triangle(spec: AlgebraSpec, v: GammaVertex) -> StandardTriangle:
 
     basis = hom_space(t_w, cone).basis
     composed = [compose_chain_maps(candidate, second) for candidate in basis]
-    coeffs = _express_in_span(composed, second.source, cone, inclusion)
+    coeffs = HomQuotient(second.source, cone).solve(composed, inclusion)
     if coeffs is None:
         raise TriangleCertificationError(f"no fill-in map onto the cone at {tuple(v)}")
-    fill_in = None
-    for j, c in coeffs.items():
-        term = scale_chain_map(basis[j], c)
-        fill_in = term if fill_in is None else add_chain_maps(fill_in, term)
-    if fill_in is None:
+    if not coeffs:
         raise TriangleCertificationError(f"fill-in map vanishes at {tuple(v)}")
+    fill_in = combine_chain_maps(t_w, cone, basis, coeffs)
 
     reverse_basis = hom_space(cone, t_w).basis
     composed_back = [compose_chain_maps(candidate, fill_in) for candidate in reverse_basis]
-    back_coeffs = _express_in_span(composed_back, t_w, t_w, identity_chain_map(t_w))
+    back_coeffs = HomQuotient(t_w, t_w).solve(composed_back, identity_chain_map(t_w))
     if back_coeffs is None:
         raise TriangleCertificationError(f"fill-in map is not split at {tuple(v)}")
-    inverse = None
-    for j, c in back_coeffs.items():
-        term = scale_chain_map(reverse_basis[j], c)
-        inverse = term if inverse is None else add_chain_maps(inverse, term)
+    inverse = combine_chain_maps(cone, t_w, reverse_basis, back_coeffs)
     round_trip = add_chain_maps(
         compose_chain_maps(fill_in, inverse), scale_chain_map(identity_chain_map(cone), -1)
     )
@@ -572,7 +545,7 @@ def standard_triangle(spec: AlgebraSpec, v: GammaVertex) -> StandardTriangle:
         generators.append(compose_chain_maps(comparison, theta_hom(hom_f(spec, w, sv))))
         psi_index = 1
     generators.append(compose_chain_maps(comparison, theta_hom(hom_g(spec, w, sv))))
-    expansion = _express_in_span(generators, t_w, connecting.target, connecting)
+    expansion = HomQuotient(t_w, connecting.target).solve(generators, connecting)
     if expansion is None:
         raise TriangleCertificationError(f"connecting map escapes the basis at {tuple(v)}")
     nu = expansion.get(psi_index, Fraction(0))
@@ -772,17 +745,23 @@ def pseudo_identity_to_obj(F: PseudoIdentityData) -> dict:
 
 
 def pseudo_identity_from_obj(obj: dict) -> PseudoIdentityData:
+    """The data stored in obj; ValueError on anything malformed."""
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
     if obj.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {obj.get('schema')!r}")
-    spec = AlgebraSpec(*obj["algebra"])
-    window = tuple(obj["window"])
-    images = []
-    for item in obj["images"]:
-        source = GammaVertex(*item["source"])
-        target = GammaVertex(*item["target"])
-        hom = GammaHom(spec, source, target, Fraction(item["f"]), Fraction(item["g"]))
-        images.append(((item["kind"], source, target), hom))
-    return PseudoIdentityData(spec, window, tuple(images))
+    try:
+        spec = AlgebraSpec(*obj["algebra"])
+        window = tuple(obj["window"])
+        images = []
+        for item in obj["images"]:
+            source = GammaVertex(*item["source"])
+            target = GammaVertex(*item["target"])
+            hom = GammaHom(spec, source, target, Fraction(item["f"]), Fraction(item["g"]))
+            images.append(((item["kind"], source, target), hom))
+        return PseudoIdentityData(spec, window, tuple(images))
+    except (AttributeError, IndexError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"{type(exc).__name__}: {exc}") from None
 
 
 def family_to_obj(family: AutomorphismFamily) -> dict:

@@ -1,6 +1,6 @@
 """Per-process memos of the chain-level constructors, and the degree skips.
 
-The path table, ``build_complex``, ``theta_hom``, the homotopy solvers
+The path table, ``build_complex``, ``theta_hom``, the hom quotients
 and the rigidity window grids keep their results in memo tables
 registered in ``algebra``; ``clear_caches`` empties them all.  A memoized object is shared by every caller, so these
 tests check that nothing changes one after it was stored, that a warm
@@ -21,6 +21,7 @@ from kbproj.algebra import AlgebraSpec, Path, PathCombination
 from kbproj.cli import _suite_functoriality, main
 from kbproj.complexes import (
     clear_caches,
+    hom_space_dimension,
     is_null_homotopic,
     make_chain_map,
     mat_is_zero,
@@ -28,15 +29,16 @@ from kbproj.complexes import (
     memo_table,
     stalk_complex,
     validate_chain_map,
+    zero_chain_map,
 )
 from kbproj.gamma import GammaHom, theta_hom
-from kbproj.quadruples import Quadruple, build_complex
+from kbproj.quadruples import Quadruple, build_complex, enumerate_quadruples
 from kbproj.rigidity import random_pseudo_identity
 
 L21 = AlgebraSpec(2, 1)
 TABLES = (
     "algebra.path_table",
-    "complexes.homotopy_solver",
+    "complexes.hom_quotient",
     "quadruples.build_complex",
     "gamma.theta_hom",
     "rigidity.conjugation_domain",
@@ -96,6 +98,18 @@ def test_clear_caches_empties_every_registered_table():
     assert all(registry[name] for name in TABLES)
     clear_caches()
     assert all(not table for table in registry.values())
+
+
+def test_hom_dimension_sweep_leaves_the_quotient_memo_empty():
+    # a sweep asks each pair once, so memoizing it would only hold memory
+    quads = enumerate_quadruples(L21, -1, 1, 2)
+    complexes = [build_complex(L21, q) for q in quads]
+    dims = [hom_space_dimension(c, d) for c in complexes for d in complexes]
+    assert any(dims)
+    assert memo_table("quadruples.build_complex")
+    assert not memo_table("complexes.hom_quotient")
+    assert is_null_homotopic(zero_chain_map(complexes[0], complexes[1]))
+    assert memo_table("complexes.hom_quotient")
 
 
 def test_verify_json_is_identical_on_cold_and_warm_caches(capsys):

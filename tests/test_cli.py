@@ -272,6 +272,29 @@ def test_rigidity_check_algebra_mismatch(capsys, tmp_path):
     assert "match" in err
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("[]", "expected a JSON object"),
+        (None, "ZeroDivisionError"),
+    ],
+    ids=["top-level-array", "zero-denominator"],
+)
+def test_rigidity_check_rejects_malformed_input(capsys, tmp_path, text, problem):
+    if text is None:
+        obj = json.loads(json.dumps(HAND_MADE))
+        obj["images"][0]["f"] = "1/0"
+        text = json.dumps(obj)
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "--algebra", "1,0", "rigidity-check", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot load pseudo-identity data: ")
+    assert problem in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["rigidity-check", "verify"])
 @pytest.mark.parametrize(
     "a, b, reason",

@@ -249,12 +249,18 @@ def test_serialization_round_trip(spec):
         ('{"0":[0],"1":[-1]}', "{}", "summand vertex -1 not in the algebra"),
         # a differential out of degree 0 with no summand in degree 1
         ('{"0":[0]}', '{"0":[[[[[0],1,1]]]]}', "differential shape"),
+        # a stationary entry in a second row, with one summand in degree 1
+        ('{"0":[0],"1":[0]}', '{"0":[[[[[],1,1]]],[[[[],1,1]]]]}', "IndexError"),
+        ('{"0":[0],"1":[0]}', '{"0":[[[[[0],1,0]]]]}', "ZeroDivisionError"),
+        ("[1]", "{}", "AttributeError"),
+        (None, "{}", "KeyError: 'degrees'"),
     ],
 )
 def test_loader_rejects_malformed_complexes(degrees, differentials, problem):
+    degrees = "" if degrees is None else f'"degrees":{degrees},'
     text = (
         '{"schema_version":1,"algebra":[1,0],'
-        f'"degrees":{degrees},"differentials":{differentials}}}'
+        f'{degrees}"differentials":{differentials}}}'
     )
     with pytest.raises(ValueError, match=problem):
         loads_complex(text)
