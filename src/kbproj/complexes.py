@@ -83,6 +83,7 @@ class ProjComplex:
     summands: dict[int, tuple[int, ...]]
     diffs: dict[int, Matrix]
     _key: tuple = field(default=None, compare=False, repr=False)
+    _nkey: tuple = field(default=None, compare=False, repr=False)
 
     def summand(self, i: int) -> tuple[int, ...]:
         return self.summands.get(i, ())
@@ -115,11 +116,28 @@ class ProjComplex:
             object.__setattr__(self, "_key", k)
         return self._key
 
+    def nkey(self) -> tuple:
+        """key() of shift(self, t) for the lowest degree t, read off key()."""
+        if self._nkey is None:
+            n, m, summands, diffs = self.key()
+            t = _lowest(self)
+            if t % 2:  # an odd shift negates every differential
+                diffs = [(i, tuple(tuple(tuple((s, w, -a, b) for s, w, a, b in e) for e in row)
+                                   for row in mat)) for i, mat in diffs]
+            k = (n, m, tuple((i - t, s) for i, s in summands), tuple((i - t, x) for i, x in diffs))
+            object.__setattr__(self, "_nkey", k)
+        return self._nkey
+
     def __repr__(self) -> str:
         if not self.summands:
             return "ProjComplex(0)"
         parts = [f"{i}:{list(self.summands[i])}" for i in self.degrees()]
         return f"ProjComplex({', '.join(parts)})"
+
+
+def _lowest(c: ProjComplex) -> int:
+    """The lowest degree of c, 0 for the zero complex."""
+    return min(c.summands) if c.summands else 0
 
 
 def make_complex(spec: AlgebraSpec, summands, diffs) -> ProjComplex:
@@ -249,18 +267,17 @@ def make_chain_map(source: ProjComplex, target: ProjComplex, components) -> Chai
     return ChainMap(source, target, comps)
 
 
+def _unit_matrix(verts) -> Matrix:
+    """The identity of the sum of the projectives at verts."""
+    z = PathCombination.zero()
+    return tuple(
+        tuple(PathCombination.of(Path(v, ())) if r == col else z for col in range(len(verts)))
+        for r, v in enumerate(verts)
+    )
+
+
 def identity_chain_map(c: ProjComplex) -> ChainMap:
-    comps = {}
-    for i in c.degrees():
-        verts = c.summand(i)
-        comps[i] = tuple(
-            tuple(
-                PathCombination.of(Path(v, ())) if r == col else PathCombination.zero()
-                for col, _ in enumerate(verts)
-            )
-            for r, v in enumerate(verts)
-        )
-    return ChainMap(c, c, comps)
+    return ChainMap(c, c, {i: _unit_matrix(c.summand(i)) for i in c.degrees()})
 
 
 def zero_chain_map(source: ProjComplex, target: ProjComplex) -> ChainMap:
@@ -390,19 +407,8 @@ def cone_inclusion(f: ChainMap) -> ChainMap:
     c, d = f.source, f.target
     comps = {}
     for i in d.degrees():
-        nc = len(c.summand(i + 1))
         verts = d.summand(i)
-        rows = []
-        for r in range(nc):
-            rows.append(mat_zero(1, len(verts))[0])
-        for r, v in enumerate(verts):
-            rows.append(
-                tuple(
-                    PathCombination.of(Path(v, ())) if r == col else PathCombination.zero()
-                    for col in range(len(verts))
-                )
-            )
-        comps[i] = tuple(rows)
+        comps[i] = mat_zero(len(c.summand(i + 1)), len(verts)) + _unit_matrix(verts)
     return ChainMap(d, cone, comps)
 
 
@@ -416,66 +422,61 @@ def cone_projection(f: ChainMap) -> ChainMap:
         verts = c.summand(i + 1)
         if not verts:
             continue
-        nd = len(f.target.summand(i))
-        rows = []
-        for r, v in enumerate(verts):
-            rows.append(
-                tuple(
-                    PathCombination.of(Path(v, ())) if r == col else PathCombination.zero()
-                    for col in range(len(verts))
-                )
-                + mat_zero(1, nd)[0]
-            )
-        comps[i] = tuple(rows)
+        zeros = mat_zero(1, len(f.target.summand(i)))[0]
+        comps[i] = tuple(row + zeros for row in _unit_matrix(verts))
     return ChainMap(cone, sc, comps)
 
 
 # -- Hom spaces in the homotopy category -------------------------------------
 
 
-def _hom_variables(c: ProjComplex, d: ProjComplex, offset: int):
+def _hom_variables(c: ProjComplex, d: ProjComplex, offset: int) -> list:
     """Variables for degreewise maps C^i -> D^{i+offset}.
 
-    Returns (vars, index) with vars a list of (i, r, c, path) in the fixed
-    deterministic order and index its inverse mapping.  A variable's path
-    runs from the target summand to the source summand, as in
-    ``hom_basis_proj``.  Raises ValueError on a summand vertex outside the
-    algebra.
+    A list of (i, r, c, path) in the fixed deterministic order, with the
+    degree i counted from the lowest degree of C, so that a common shift of
+    C and D leaves the list unchanged.  A variable's path runs from the
+    target summand to the source summand, as in ``hom_basis_proj``.
+    Raises ValueError on a summand vertex outside the algebra.
     """
     paths = path_table(c.spec).paths
+    degrees = sorted(c.summands)
+    t = degrees[0] if degrees else 0
     out = []
     try:
-        for i in sorted(c.summands):
+        for i in degrees:
             for r, tv in enumerate(d.summands.get(i + offset, ())):
                 for col, sv in enumerate(c.summands[i]):
                     for p in paths[tv, sv]:
-                        out.append((i, r, col, p))
+                        out.append((i - t, r, col, p))
     except KeyError:
         raise ValueError(f"vertices ({sv}, {tv}) not in {c.spec}") from None
-    return out, {v: j for j, v in enumerate(out)}
+    return out
 
 
 # The assembly below multiplies one basis path with one differential entry
 # by table lookups.  Such a product is injective on the entry's parallel
 # paths and keeps their order, so it contributes each entry coefficient
 # once, exactly as ``algebra_product`` would.  A zero product is None,
-# which indexes no variable.
+# which indexes no variable.  Variable degrees count from the lowest
+# degree t of C, so differentials are read at degree i + t.
 
 
 def _chain_equations(c: ProjComplex, d: ProjComplex, fvars):
     """Rows of the linear system expressing d_D f = f d_C on path coordinates."""
     products = path_table(c.spec).products
+    t = _lowest(c)
     rows: dict[tuple, dict[int, Fraction]] = {}
     for var, (i, r, col, p) in enumerate(fvars):
         # d_D composed after f at degree i
         after_p = products[p]
-        for s, drow in enumerate(d.diffs.get(i, ())):
+        for s, drow in enumerate(d.diffs.get(i + t, ())):
             for path, coeff in drow[r].terms():
                 pq = after_p[path]
                 if pq is not None:
                     add_entry(rows.setdefault((i, s, col, pq), {}), var, coeff)
         # f at degree i composed after d_C at degree i-1
-        dc = c.diffs.get(i - 1)
+        dc = c.diffs.get(i + t - 1)
         for col0, entry in enumerate(dc[col] if dc else ()):
             for path, coeff in entry.terms():
                 pq = products[path][p]
@@ -487,17 +488,17 @@ def _chain_equations(c: ProjComplex, d: ProjComplex, fvars):
 def _homotopy_images(c: ProjComplex, d: ProjComplex, findex):
     """Image vectors (in f-variable coordinates) of the unit homotopies."""
     products = path_table(c.spec).products
-    hvars, _ = _hom_variables(c, d, -1)
+    t = _lowest(c)
     images = []
-    for (i, r, col, q) in hvars:
+    for (i, r, col, q) in _hom_variables(c, d, -1):
         vec: dict[int, Fraction] = {}
         after_q = products[q]
-        for s, drow in enumerate(d.diffs.get(i - 1, ())):
+        for s, drow in enumerate(d.diffs.get(i + t - 1, ())):
             for path, coeff in drow[r].terms():
                 var = findex.get((i, s, col, after_q[path]))
                 if var is not None:
                     add_entry(vec, var, coeff)
-        dc = c.diffs.get(i - 1)
+        dc = c.diffs.get(i + t - 1)
         for col0, entry in enumerate(dc[col] if dc else ()):
             for path, coeff in entry.terms():
                 var = findex.get((i - 1, r, col0, products[path][q]))
@@ -508,6 +509,7 @@ def _homotopy_images(c: ProjComplex, d: ProjComplex, findex):
 
 
 def _lift_vector(c: ProjComplex, d: ProjComplex, fvars, vec) -> ChainMap:
+    t = _lowest(c)
     comps: dict[int, list[list[PathCombination]]] = {}
     for j, (i, r, col, p) in enumerate(fvars):
         coeff = vec.get(j)
@@ -515,26 +517,42 @@ def _lift_vector(c: ProjComplex, d: ProjComplex, fvars, vec) -> ChainMap:
             continue
         if i not in comps:
             comps[i] = [
-                [PathCombination.zero() for _ in c.summand(i)]
-                for _ in d.summand(i)
+                [PathCombination.zero() for _ in c.summand(i + t)]
+                for _ in d.summand(i + t)
             ]
         comps[i][r][col] = comps[i][r][col] + PathCombination.of(p, coeff)
-    return make_chain_map(c, d, {i: tuple(tuple(r) for r in m) for i, m in comps.items()})
+    return make_chain_map(c, d, {i + t: tuple(tuple(r) for r in m) for i, m in comps.items()})
 
 
 def _map_vector(f: ChainMap, findex) -> dict[int, Fraction]:
+    t = _lowest(f.source)
     vec: dict[int, Fraction] = {}
     for i, mat in f.components.items():
         for r, row in enumerate(mat):
             for col, entry in enumerate(row):
                 for path, coeff in entry.terms():
-                    var = findex.get((i, r, col, path))
+                    var = findex.get((i - t, r, col, path))
                     if var is None:
                         raise ValueError(
                             f"component at degree {i} falls outside the hom variable grid"
                         )
                     add_entry(vec, var, coeff)
     return vec
+
+
+class _QuotientCore:
+    """What HomQuotient(C, D) shares with HomQuotient(C[k], D[k]): the variable
+    grid and its index, the boundary echelon and, once asked for, the
+    dimension and the basis vectors; no chain maps."""
+
+    __slots__ = ("vars", "index", "boundary", "dimension", "basis")
+
+    def __init__(self, c: ProjComplex, d: ProjComplex) -> None:
+        self.vars = _hom_variables(c, d, 0)
+        self.index = {v: j for j, v in enumerate(self.vars)}
+        self.boundary = SpanSolver(_homotopy_images(c, d, self.index) if self.vars else ())
+        self.dimension = None if self.vars else 0
+        self.basis = None
 
 
 class HomQuotient:
@@ -545,7 +563,9 @@ class HomQuotient:
     echelon; ``contains`` reduces against it, and ``rank``, ``solve`` and
     ``basis`` extend a copy of it, so no query eliminates them again.
     ``basis`` is the echelon choice over the variable order (degree, row,
-    column, path), so repeated runs agree exactly.
+    column, path), so repeated runs agree exactly.  All of this sits in a
+    core, which ``quotient`` shares between pairs up to a common shift; its
+    docstring gives the key, the callers, and why every answer stays exact.
 
     Over ``L(1, 0)``, the identity of the cone of ``id: P_0 -> P_0`` is
     null-homotopic, and the stalk complex ``P_0`` has the idempotent and
@@ -565,75 +585,95 @@ class HomQuotient:
     {1: Fraction(3, 1)}
     """
 
-    def __init__(self, c: ProjComplex, d: ProjComplex) -> None:
+    def __init__(self, c: ProjComplex, d: ProjComplex, core: _QuotientCore | None = None) -> None:
         if c.spec != d.spec:
             raise ValueError("hom across different algebras")
         self.source, self.target = c, d
-        self._vars, self._index = _hom_variables(c, d, 0)
-        self._boundary = SpanSolver(_homotopy_images(c, d, self._index) if self._vars else ())
+        self._core = core if core is not None else _QuotientCore(c, d)
 
-    @property  # read once per quotient by hom_space_dimension; caching it costs more
+    @property
     def dimension(self) -> int:
-        if not self._vars:
-            return 0
-        eqs = _chain_equations(self.source, self.target, self._vars)
-        return len(self._vars) - rank(eqs) - self._boundary.rank
+        core = self._core
+        if core.dimension is None:
+            eqs = _chain_equations(self.source, self.target, core.vars)
+            core.dimension = len(core.vars) - rank(eqs) - core.boundary.rank
+        return core.dimension
 
     @cached_property
     def basis(self) -> list[ChainMap]:
-        eqs = _chain_equations(self.source, self.target, self._vars)
-        cycles = nullspace(eqs, len(self._vars))
-        dim = len(cycles) - self._boundary.rank
-        span = self._boundary.copy()
-        basis = []
-        for z in cycles:
-            if len(basis) == dim:
-                break
-            if span.add_relation(z):
-                basis.append(_lift_vector(self.source, self.target, self._vars, z))
-        return basis
+        core = self._core
+        if core.basis is None:
+            eqs = _chain_equations(self.source, self.target, core.vars)
+            span = core.boundary.copy()
+            # the boundary and the kept cycles span every cycle: dimension-many are kept
+            core.basis = [z for z in nullspace(eqs, len(core.vars)) if span.add_relation(z)]
+            core.dimension = len(core.basis)
+        return [_lift_vector(self.source, self.target, core.vars, z) for z in core.basis]
 
     def contains(self, f: ChainMap) -> bool:
         """Whether the chain map f: C -> D is null-homotopic."""
         try:
-            vec = _map_vector(f, self._index)
+            vec = _map_vector(f, self._core.index)
         except ValueError:
             return False
-        return self._boundary.contains(vec)
+        return self._core.boundary.contains(vec)
 
     def rank(self, maps) -> int:
         """Dimension of the span of the maps C -> D modulo null-homotopy."""
-        span = self._boundary.copy()
-        return sum(span.add_relation(_map_vector(f, self._index)) for f in maps)
+        span = self._core.boundary.copy()
+        return sum(span.add_relation(_map_vector(f, self._core.index)) for f in maps)
 
     def solve(self, generators, rhs: ChainMap) -> dict[int, Fraction] | None:
         """Coefficients c_j with rhs ~ sum_j c_j generators[j], or None."""
-        span = self._boundary.copy()
+        span = self._core.boundary.copy()
         for gen in generators:
-            span.add_generator(_map_vector(gen, self._index))
-        return span.solve(_map_vector(rhs, self._index))
+            span.add_generator(_map_vector(gen, self._core.index))
+        return span.solve(_map_vector(rhs, self._core.index))
 
 
 def quotient(c: ProjComplex, d: ProjComplex) -> HomQuotient:
-    """The memoized HomQuotient(c, d), keyed on the two complexes."""
-    key = (c.key(), d.key())
-    hit = _QUOTIENTS.get(key)
-    if hit is None:
-        hit = _QUOTIENTS[key] = HomQuotient(c, d)
-    return hit
+    """HomQuotient(c, d) on a memoized core shared by every common shift of the pair.
+
+    The key is ``(c.nkey(), d.nkey(), t_d - t_c)``, t_x the lowest degree of
+    x.  A common shift multiplies both differentials by one sign, negating
+    the chain equations and the homotopy images each as a set: their echelon
+    (pivots 1) and nullspace, and so every basis, solve and witness in
+    degrees counted from t_c, stay the same.  ``hom_space``,
+    ``homotopy_rank``, ``is_null_homotopic``, ``is_isomorphic_K`` and the
+    solves of ``standard_triangle`` share cores; ``hom_space_dimension``,
+    whose sweeps ask each pair once, does not.  Over ``L(1, 0)``, with C the
+    cone of the loop on ``P_0`` and D the stalk ``P_0``:
+
+    >>> from kbproj.algebra import AlgebraSpec, Path, PathCombination
+    >>> d = stalk_complex(AlgebraSpec(1, 0), 0)
+    >>> c = mapping_cone(make_chain_map(d, d, {0: ((PathCombination.of(Path(0, (0,))),),)}))
+    >>> hom, up = quotient(c, d), quotient(shift(c, 1), shift(d, 1))
+    >>> up._core is hom._core, up.dimension, hom.dimension
+    (True, 1, 1)
+    >>> hom.basis[0].components, up.basis[0].components
+    ({0: ((a(0),),)}, {-1: ((a(0),),)})
+    >>> up.solve(up.basis, shift_chain_map(hom.basis[0], 1)), up.rank(up.basis)
+    ({0: Fraction(1, 1)}, 1)
+    """
+    key = (c.nkey(), d.nkey(), _lowest(d) - _lowest(c))
+    core = _QUOTIENTS.get(key)
+    hom = HomQuotient(c, d, core)
+    if core is None:
+        _QUOTIENTS[key] = hom._core
+    return hom
 
 
 def hom_space_dimension(c: ProjComplex, d: ProjComplex) -> int:
     """Dimension of the hom space in the homotopy category.
 
-    Sweeps ask many distinct pairs once each, so this leaves the memo alone.
+    Sweeps ask each pair up to shift once, so this stores no core.
     """
     return HomQuotient(c, d).dimension
 
 
 def hom_space(c: ProjComplex, d: ProjComplex) -> HomQuotient:
     """Hom up to homotopy, with ``dimension`` and a ``basis`` of chain maps."""
-    return HomQuotient(c, d)
+    return quotient(c, d)
 
 
 def homotopy_rank(maps: list[ChainMap]) -> int:

@@ -72,7 +72,11 @@ def _insert(echelon: list, row: dict, combo: dict | None = None) -> bool:
         return False
     pivot = min(row)
     lead = row[pivot]
-    if lead != 1:
+    if lead == -1:
+        row = {j: -c for j, c in row.items()}
+        if combo:
+            combo = {i: -c for i, c in combo.items()}
+    elif lead != 1:
         inv = 1 / lead
         row = {j: c * inv for j, c in row.items()}
         if combo:

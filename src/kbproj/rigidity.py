@@ -46,7 +46,6 @@ from typing import NamedTuple
 from .algebra import AlgebraSpec, Path, PathCombination, memoized
 from .complexes import (
     ChainMap,
-    HomQuotient,
     ProjComplex,
     SCHEMA_VERSION,
     add_chain_maps,
@@ -59,6 +58,7 @@ from .complexes import (
     is_null_homotopic,
     make_chain_map,
     mapping_cone,
+    quotient,
     scale_chain_map,
     shift,
 )
@@ -518,7 +518,7 @@ def standard_triangle(spec: AlgebraSpec, v: GammaVertex) -> StandardTriangle:
 
     basis = hom_space(t_w, cone).basis
     composed = [compose_chain_maps(candidate, second) for candidate in basis]
-    coeffs = HomQuotient(second.source, cone).solve(composed, inclusion)
+    coeffs = quotient(second.source, cone).solve(composed, inclusion)
     if coeffs is None:
         raise TriangleCertificationError(f"no fill-in map onto the cone at {tuple(v)}")
     if not coeffs:
@@ -527,7 +527,7 @@ def standard_triangle(spec: AlgebraSpec, v: GammaVertex) -> StandardTriangle:
 
     reverse_basis = hom_space(cone, t_w).basis
     composed_back = [compose_chain_maps(candidate, fill_in) for candidate in reverse_basis]
-    back_coeffs = HomQuotient(t_w, t_w).solve(composed_back, identity_chain_map(t_w))
+    back_coeffs = quotient(t_w, t_w).solve(composed_back, identity_chain_map(t_w))
     if back_coeffs is None:
         raise TriangleCertificationError(f"fill-in map is not split at {tuple(v)}")
     inverse = combine_chain_maps(cone, t_w, reverse_basis, back_coeffs)
@@ -545,7 +545,7 @@ def standard_triangle(spec: AlgebraSpec, v: GammaVertex) -> StandardTriangle:
         generators.append(compose_chain_maps(comparison, theta_hom(hom_f(spec, w, sv))))
         psi_index = 1
     generators.append(compose_chain_maps(comparison, theta_hom(hom_g(spec, w, sv))))
-    expansion = HomQuotient(t_w, connecting.target).solve(generators, connecting)
+    expansion = quotient(t_w, connecting.target).solve(generators, connecting)
     if expansion is None:
         raise TriangleCertificationError(f"connecting map escapes the basis at {tuple(v)}")
     nu = expansion.get(psi_index, Fraction(0))
@@ -720,15 +720,6 @@ def build_eta(spec: AlgebraSpec, omega: ConnectingIsoData) -> AutomorphismFamily
 
 def _vertex_obj(v: GammaVertex) -> list[int]:
     return [v.i, v.a, v.b]
-
-
-def _hom_obj(h: GammaHom) -> dict:
-    return {
-        "source": _vertex_obj(h.source),
-        "target": _vertex_obj(h.target),
-        "f": str(h.f_coeff),
-        "g": str(h.g_coeff),
-    }
 
 
 def pseudo_identity_to_obj(F: PseudoIdentityData) -> dict:

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from kbproj import algebra, complexes
+from kbproj import algebra, complexes, rigidity
 from kbproj.algebra import AlgebraSpec, Path, PathCombination
 from kbproj.cli import _suite_functoriality, main
 from kbproj.complexes import (
@@ -31,7 +31,7 @@ from kbproj.complexes import (
     validate_chain_map,
     zero_chain_map,
 )
-from kbproj.gamma import GammaHom, theta_hom
+from kbproj.gamma import GammaHom, GammaVertex, suspend_vertex, theta_hom
 from kbproj.quadruples import Quadruple, build_complex, enumerate_quadruples
 from kbproj.rigidity import random_pseudo_identity
 
@@ -110,6 +110,40 @@ def test_hom_dimension_sweep_leaves_the_quotient_memo_empty():
     assert not memo_table("complexes.hom_quotient")
     assert is_null_homotopic(zero_chain_map(complexes[0], complexes[1]))
     assert memo_table("complexes.hom_quotient")
+
+
+def test_triangles_down_a_suspension_column_share_quotient_cores(monkeypatch):
+    spec = AlgebraSpec(1, 0)
+    created = {}
+    calls = []
+
+    class RecordedCore(complexes._QuotientCore):
+        def __init__(self, c, d):
+            super().__init__(c, d)
+            created[id(self)] = (c, d)
+
+    def counted(c, d, real=complexes.quotient):
+        calls.append((c.key(), d.key()))
+        return real(c, d)
+
+    monkeypatch.setattr(complexes, "_QuotientCore", RecordedCore)
+    monkeypatch.setattr(complexes, "quotient", counted)
+    monkeypatch.setattr(rigidity, "quotient", counted)
+    column = [GammaVertex(0, -2, 0)]
+    for _ in range(3):
+        column.append(suspend_vertex(spec, column[-1]))
+    for v in column:
+        assert rigidity.standard_triangle(spec, v).nu
+    stored = list(memo_table("complexes.hom_quotient").values())
+    # fewer cores than distinct pairs asked for: suspension shares them
+    assert len(stored) < len(set(calls))
+    clear_caches()
+    for core in stored:
+        c, d = created[id(core)]
+        fresh = complexes.HomQuotient(c, d)
+        assert fresh._core is not core
+        assert complexes.HomQuotient(c, d, core).dimension == fresh.dimension
+        assert core.boundary.rank == fresh._core.boundary.rank
 
 
 def test_verify_json_is_identical_on_cold_and_warm_caches(capsys):

@@ -8,19 +8,27 @@ generators before the homotopy images.  Those five patterns are kept
 below, written out on the oracle's assembly, as the reference: the
 quotient reduces the images once and puts the generators after them, and
 every basis, rank, null-homotopy answer and witness must stay the same.
+
+``quotient`` shares one core between pairs that differ by a common shift.
+The last tests check that a view on a shared core answers like a fresh
+quotient on its own pair, with null-homotopic maps built by matrix
+products rather than from the quotient's grid, and that a relative shift
+or a negated target differential gets a core of its own.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import ALGEBRA_PARAMS
 from kbproj import rigidity
-from kbproj.algebra import AlgebraSpec
+from kbproj.algebra import AlgebraSpec, PathCombination, hom_basis_proj
 from kbproj.complexes import (
     HomQuotient,
+    ProjComplex,
     _chain_equations,
     _hom_variables,
     _homotopy_images,
@@ -36,8 +44,14 @@ from kbproj.complexes import (
     identity_chain_map,
     is_isomorphic_K,
     is_null_homotopic,
+    make_chain_map,
+    mat_mul,
+    mat_scale,
     minimal_model,
+    quotient,
     scale_chain_map,
+    shift,
+    shift_chain_map,
     validate_chain_map,
     zero_chain_map,
 )
@@ -52,9 +66,15 @@ ALGEBRA_IDS = [f"L({n},{m})" for n, m in ALGEBRA_PARAMS]
 # -- The reference: one fresh solver per query ---------------------------------
 
 
+def hom_grid(c, d):
+    """The f-variables of Hom(c, d) and their index."""
+    fvars = _hom_variables(c, d, 0)
+    return fvars, {v: j for j, v in enumerate(fvars)}
+
+
 def ref_boundary(c, d):
     """A fresh solver holding the homotopy images as its first generators."""
-    fvars, findex = _hom_variables(c, d, 0)
+    fvars, findex = hom_grid(c, d)
     solver = SpanSolver()
     for img in _homotopy_images(c, d, findex):
         solver.add_generator(img)
@@ -63,7 +83,7 @@ def ref_boundary(c, d):
 
 def ref_hom_space(c, d):
     """(dimension, basis) of the earlier ``hom_space``."""
-    fvars, findex = _hom_variables(c, d, 0)
+    fvars, findex = hom_grid(c, d)
     if not fvars:
         return 0, []
     cycles = nullspace(_chain_equations(c, d, fvars), len(fvars))
@@ -101,7 +121,7 @@ def ref_is_null_homotopic(f):
 
 def ref_express_in_span(generators, source, target, rhs):
     """Generators first, then the homotopy images, as ``standard_triangle`` had it."""
-    _, findex = _hom_variables(source, target, 0)
+    _, findex = hom_grid(source, target)
     solver = SpanSolver()
     for gen in generators:
         solver.add_generator(_map_vector(gen, findex))
@@ -213,7 +233,7 @@ def test_basis_rank_and_null_homotopy_match_fresh_solvers(params):
             assert homotopy_rank(maps) == ref_homotopy_rank(maps) == dim
             assert homotopy_rank([total]) == ref_homotopy_rank([total]) == 1
             # d h + h d for a unit homotopy h, alone and added to a basis map
-            fvars, findex = _hom_variables(c, d, 0)
+            fvars, findex = hom_grid(c, d)
             for img in _homotopy_images(c, d, findex)[:3]:
                 null = _lift_vector(c, d, fvars, img)
                 assert is_null_homotopic(null) and ref_is_null_homotopic(null)
@@ -231,12 +251,12 @@ def test_queries_leave_the_shared_boundary_echelon_alone(params):
     c = build_complex(spec, enumerate_quadruples(spec, 0, 0, 1)[0])
     end = hom_space(c, c)
     assert end.basis
-    boundary_rank = end._boundary.rank
+    boundary_rank = end._core.boundary.rank
     identity = identity_chain_map(c)
     assert end.solve(end.basis, identity) is not None
     assert end.rank(end.basis) == end.dimension
     # neither query may leave the basis maps in the span of the homotopies
-    assert end._boundary.rank == boundary_rank
+    assert end._core.boundary.rank == boundary_rank
     assert not any(end.contains(f) for f in end.basis)
     assert end.solve([], identity) is None
 
@@ -250,7 +270,7 @@ def test_standard_triangle_certificates_match_fresh_solvers(params, monkeypatch)
     found = [rigidity.standard_triangle(spec, v) for v in vertices]
     clear_caches()
     monkeypatch.setattr(rigidity, "hom_space", RefHomSpace)
-    monkeypatch.setattr(rigidity, "HomQuotient", RefQuotient)
+    monkeypatch.setattr(rigidity, "quotient", RefQuotient)
     monkeypatch.setattr(rigidity, "is_null_homotopic", ref_is_null_homotopic)
     for v, tri in zip(vertices, found):
         ref = rigidity.standard_triangle(spec, v)
@@ -277,3 +297,99 @@ def test_suspension_square_witnesses_match_fresh_solvers(params):
         result = is_isomorphic_K(left, right)
         assert result
         assert (result.forward.key(), result.backward.key()) == ref_is_isomorphic_K(left, right)
+
+
+# -- One core per pair up to a common shift ---------------------------------------
+
+
+def unit_null_maps(c, d, limit=2):
+    """The first nonzero maps d h + h d for h one path C^j -> D^{j-1}."""
+    spec = c.spec
+    out = []
+    for j in sorted(c.summands):
+        for r, tv in enumerate(d.summand(j - 1)):
+            for col, sv in enumerate(c.summand(j)):
+                for p in hom_basis_proj(spec, sv, tv):
+                    h = [[PathCombination.zero()] * len(c.summand(j)) for _ in d.summand(j - 1)]
+                    h[r][col] = PathCombination.of(p)
+                    h = tuple(map(tuple, h))
+                    comps = {j: mat_mul(spec, d.diff(j - 1), h), j - 1: mat_mul(spec, h, c.diff(j - 1))}
+                    f = make_chain_map(c, d, comps)
+                    if not f.is_zero():
+                        assert validate_chain_map(f) is None
+                        out.append(f)
+                    if len(out) == limit:
+                        return out
+    return out
+
+
+def negated(d):
+    """d with every differential negated: isomorphic to d, and not equal to it."""
+    return ProjComplex(d.spec, d.summands, {i: mat_scale(m, -1) for i, m in d.diffs.items()})
+
+
+def assert_answers_like_fresh(view, c, d):
+    """Every query of view equals that of a fresh, unshared quotient on (c, d)."""
+    fresh = HomQuotient(c, d)
+    assert fresh._core is not view._core
+    assert (view.source, view.target) == (c, d)
+    assert view.dimension == fresh.dimension
+    assert [f.key() for f in view.basis] == [f.key() for f in fresh.basis]
+    for f in view.basis:
+        assert f.source is c and f.target is d
+        assert validate_chain_map(f) is None
+    nulls = unit_null_maps(c, d)
+    for null in nulls:
+        assert view.contains(null) and fresh.contains(null)
+    if not view.basis:
+        return
+    coeffs = {j: Fraction(j + 1) for j in range(len(view.basis))}
+    total = nulls[0] if nulls else scale_chain_map(view.basis[0], 0)
+    for j, f in enumerate(view.basis):
+        total = add_chain_maps(total, scale_chain_map(f, coeffs[j]))
+    assert not view.contains(total) and not fresh.contains(total)
+    maps = view.basis + [total] + nulls
+    assert view.rank(maps) == fresh.rank(maps) == view.dimension
+    assert view.solve(view.basis, total) == fresh.solve(fresh.basis, total) == coeffs
+
+
+def shift_sample(spec):
+    """Sources and targets from ``sample_complexes``, cones of phi and psi among them."""
+    complexes = sample_complexes(spec)
+    return complexes[::5], complexes[2::5]
+
+
+@pytest.mark.parametrize("params", ALGEBRA_PARAMS, ids=ALGEBRA_IDS)
+def test_common_shifts_share_one_core_and_answer_like_fresh_quotients(params):
+    spec = AlgebraSpec(*params)
+    sources, targets = shift_sample(spec)
+    assert any(c.diffs for c in sources) and any(d.diffs for d in targets)
+    for c in sources:
+        for d in targets:
+            base = quotient(c, d)
+            for k in range(-3, 4):
+                ck, dk = shift(c, k), shift(d, k)
+                view = quotient(ck, dk)
+                assert view._core is base._core, (c, d, k)
+                assert_answers_like_fresh(view, ck, dk)
+                assert [f.key() for f in view.basis] == [
+                    shift_chain_map(f, k).key() for f in base.basis
+                ]
+
+
+@pytest.mark.parametrize("params", ALGEBRA_PARAMS, ids=ALGEBRA_IDS)
+def test_relative_shifts_and_negated_targets_get_their_own_core(params):
+    spec = AlgebraSpec(*params)
+    sources, targets = shift_sample(spec)
+    checked = 0
+    for c in sources:
+        for d in targets:
+            if not c.summands or negated(d).key() == d.key():
+                continue  # negating a zero differential changes nothing
+            base = quotient(c, d)
+            for other in (shift(d, 1), shift(d, -2), negated(d)):
+                view = quotient(c, other)
+                assert view._core is not base._core, (c, d, other)
+                assert_answers_like_fresh(view, c, other)
+                checked += 1
+    assert checked > len(sources)

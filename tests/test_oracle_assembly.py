@@ -31,6 +31,7 @@ from kbproj.complexes import (
     identity_chain_map,
     is_isomorphic_K,
     is_null_homotopic,
+    make_chain_map,
     make_complex,
     mapping_cone,
     scale_chain_map,
@@ -56,6 +57,22 @@ def ref_hom_variables(c, d, offset):
                 for p in hom_basis_proj(spec, sv, tv):
                     out.append((i, r, col, p))
     return out, {v: j for j, v in enumerate(out)}
+
+
+def from_lowest(c, fvars):
+    """The variables with degrees counted from the lowest degree of c."""
+    t = min(c.summands, default=0)
+    return [(i - t, r, col, p) for i, r, col, p in fvars]
+
+
+def ref_lift(c, d, fvars, vec):
+    """The chain map with coordinates vec over fvars, in the degrees of fvars."""
+    comps = {}
+    for j, (i, r, col, p) in enumerate(fvars):
+        if vec.get(j):
+            mat = comps.setdefault(i, [[PathCombination.zero()] * len(c.summand(i)) for _ in d.summand(i)])
+            mat[r][col] = mat[r][col] + PathCombination.of(p, vec[j])
+    return make_chain_map(c, d, comps)
 
 
 def ref_chain_equations(c, d, fvars, findex):
@@ -128,7 +145,7 @@ def ref_hom_space_keys(c, d):
             break
         if not solver.contains(z):
             solver.add_generator(z)
-            keys.append(_lift_vector(c, d, fvars, z).key())
+            keys.append(ref_lift(c, d, fvars, z).key())
     return keys
 
 
@@ -163,15 +180,21 @@ def test_assembly_matches_the_product_reference(params):
     checked = 0
     for c in complexes:
         for d in complexes:
-            fvars, findex = _hom_variables(c, d, 0)
+            fvars = _hom_variables(c, d, 0)
             ref_vars, ref_index = ref_hom_variables(c, d, 0)
-            assert fvars == ref_vars
-            assert findex == ref_index
-            assert _hom_variables(c, d, -1)[0] == ref_hom_variables(c, d, -1)[0]
+            assert fvars == from_lowest(c, ref_vars)
+            assert _hom_variables(c, d, -1) == from_lowest(c, ref_hom_variables(c, d, -1)[0])
             if not fvars:
                 continue
-            assert _chain_equations(c, d, fvars) == ref_chain_equations(c, d, fvars, findex)
-            assert _homotopy_images(c, d, findex) == ref_homotopy_images(c, d, findex)
+            findex = {v: j for j, v in enumerate(fvars)}
+            assert _chain_equations(c, d, fvars) == ref_chain_equations(c, d, ref_vars, ref_index)
+            assert _homotopy_images(c, d, findex) == ref_homotopy_images(c, d, ref_index)
+            # a lifted cycle lands in the degrees of the reference, and back
+            z = nullspace(_chain_equations(c, d, fvars), len(fvars))[-1:]
+            for vec in z:
+                f = _lift_vector(c, d, fvars, vec)
+                assert f.key() == ref_lift(c, d, ref_vars, vec).key()
+                assert _map_vector(f, findex) == vec
             checked += 1
     assert checked > len(complexes)
 
@@ -190,7 +213,7 @@ def ref_try_inverse(f):
     backward = hom_space(d, c)
     if not backward.basis:
         return None
-    _, findex = _hom_variables(c, c, 0)
+    findex = {v: j for j, v in enumerate(_hom_variables(c, c, 0))}
     solver = SpanSolver()
     for g in backward.basis:
         solver.add_generator(_map_vector(compose_chain_maps(g, f), findex))
