@@ -320,6 +320,8 @@ class PathCombination:
             return PathCombination.zero()
         if coeff == 1:
             return self
+        if coeff == -1:
+            return -self
         return PathCombination._trusted({p: c * coeff for p, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:

@@ -24,10 +24,6 @@ from .algebra import (
 from .complexes import ChainMap, make_chain_map, mat_zero
 from .quadruples import Quadruple, build_complex, chain_tail_positions, in_calC
 
-# Test hook: set to "psi-sign" or "phi-membership" to deliberately break the
-# corresponding computation (exercised by the CLI fault-injection option).
-_FAULT: str | None = None
-
 
 def _check_pair(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> None:
     if not in_calC(spec, q_target) or not in_calC(spec, q_source):
@@ -51,7 +47,7 @@ def _in_phi(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> bool
         return False
     if successor_power(spec, up, lp + 1) != successor_power(spec, u, kp + lp + 1 - k):
         return False
-    if kp == k and not (u <= up) and _FAULT != "phi-membership":
+    if kp == k and not (u <= up):
         return False
     top = successor_power(spec, u, l)
     if k + l == kp + lp and v < top and not (v <= vp < top):
@@ -176,10 +172,6 @@ def psi_map(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> Chai
     target = build_complex(spec, q_target)
     comps = _empty_components(spec, source, target)
     sign = Fraction(1) if (k + l) % 2 == 0 else Fraction(-1)
-    if _FAULT == "psi-sign":
-        # test hook: lose the parity dependence so that composites mixing
-        # sources of different parity come out wrong
-        sign = Fraction(1)
     top = successor_power(spec, u, l)
 
     if _psi_r1(spec, q_target, q_source):

@@ -4,14 +4,15 @@ Subcommands (all take --algebra N,M):
 
 - hom: dimension and basis labels between two vertices or two index
   quadruples, with an optional chain-level cross-check.
-- verify: the invariant suites (dimension agreement, functoriality,
-  suspension squares, irreducibles, triangles, rigidity) on a window,
-  with a JSON report; exit code 1 on any failure.
+- verify: the invariant suites (dimension agreement, basis maps,
+  functoriality, suspension squares, irreducibles, triangles, rigidity)
+  on a window, with a JSON report; exit code 1 on any failure.  The
+  report's ``fault`` field is always null, kept so its bytes do not move.
 - ar-export: the vertex grid with irreducible-map edges as DOT or JSON,
   shifted-projective vertices marked.
 - rigidity-check: seeded random pseudo-identity data (or data from a
   JSON file) run through validation, the conjugation construction, and
-  the naturality check.
+  the naturality check, shared with verify's rigidity suite.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  JSON
 reports are schema-versioned and byte-identical for identical inputs
@@ -21,16 +22,15 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from . import basismaps
 from .algebra import AlgebraSpec
 from .basismaps import hom_dim, in_phi, in_psi, irr_targets_quadruple, phi_map, psi_map
 from .complexes import (
     SCHEMA_VERSION,
     add_chain_maps,
-    clear_caches,
     compose_chain_maps,
     hom_space_dimension,
     homotopy_rank,
@@ -43,8 +43,6 @@ from .gamma import (
     GammaVertex,
     gamma_compose,
     gamma_hom_dim,
-    hom_f,
-    hom_g,
     in_F,
     in_G,
     irreducible_targets,
@@ -57,16 +55,16 @@ from .gamma import (
 from .quadruples import Quadruple, build_complex, enumerate_quadruples, in_calC, suspend_quadruple
 from .rigidity import (
     InvalidPseudoIdentity,
-    NaturalityCounterexample,
     TriangleCertificationError,
     Window,
+    _generator_hom,
     check_window,
     construct_conjugation,
     family_to_obj,
+    generator_keys,
     identity_data,
     identity_family,
     pseudo_identity_from_obj,
-    pseudo_identity_to_obj,
     random_pseudo_identity,
     standard_triangle,
     validate_pseudo_identity,
@@ -207,172 +205,160 @@ def cmd_hom(spec: AlgebraSpec, args: argparse.Namespace) -> int:
 # -- verify ------------------------------------------------------------------------
 
 
-def _suite_dims(spec: AlgebraSpec, k_span, l_max) -> dict:
-    quads = enumerate_quadruples(spec, k_span[0], k_span[1], l_max)
-    memo: dict[tuple, int] = {}
-    checks = 0
-    failures = []
-    for qs in quads:
-        for qt in quads:
-            key = (qs.u, qs.l, qs.v, qt.k - qs.k, qt.u, qt.l, qt.v)
-            oracle = memo.get(key)
-            if oracle is None:
-                rep_s = Quadruple(0, qs.u, qs.l, qs.v)
-                rep_t = Quadruple(qt.k - qs.k, qt.u, qt.l, qt.v)
-                oracle = hom_space_dimension(
-                    build_complex(spec, rep_s), build_complex(spec, rep_t)
-                )
-                memo[key] = oracle
-            checks += 1
-            if hom_dim(spec, qs, qt) != oracle:
-                failures.append(
-                    f"{tuple(qs)} -> {tuple(qt)}: formula {hom_dim(spec, qs, qt)}, oracle {oracle}"
-                )
-    return {"name": "dims", "checks": checks, "failures": failures}
+def _suite(name: str):
+    """Turn a generator of per-check failure lines ([] for a pass) into a suite report."""
+
+    def decorate(checks):
+        @functools.wraps(checks)
+        def run(*args) -> dict:
+            results = list(checks(*args))
+            failures = [line for lines in results for line in lines]
+            return {"name": name, "checks": len(results), "failures": failures}
+
+        return run
+
+    return decorate
 
 
-def _suite_basis(spec: AlgebraSpec, k_span, l_max) -> dict:
+def _shift_classes(spec: AlgebraSpec, k_span, l_max):
+    """Each pair of window quadruples, its representative with the source in
+    degree 0, and whether that representative is new to the walk."""
     quads = enumerate_quadruples(spec, k_span[0], k_span[1], l_max)
     seen: set[tuple] = set()
-    checks = 0
-    failures = []
     for qs in quads:
         for qt in quads:
-            key = (qs.u, qs.l, qs.v, qt.k - qs.k, qt.u, qt.l, qt.v)
-            if key in seen:
-                continue
-            seen.add(key)
-            rep_s = Quadruple(0, qs.u, qs.l, qs.v)
-            rep_t = Quadruple(qt.k - qs.k, qt.u, qt.l, qt.v)
-            claimed = []
-            if in_phi(spec, rep_t, rep_s):
-                claimed.append(("phi", phi_map))
-            if in_psi(spec, rep_t, rep_s):
-                claimed.append(("psi", psi_map))
-            if not claimed:
-                continue
-            checks += 1
-            maps = []
-            broken = False
-            for label, build in claimed:
-                try:
-                    maps.append((label, build(spec, rep_t, rep_s)))
-                except ValueError as exc:
-                    failures.append(f"{label} {tuple(rep_s)} -> {tuple(rep_t)}: {exc}")
-                    broken = True
-            if broken:
-                continue
+            rep = (Quadruple(0, qs.u, qs.l, qs.v), Quadruple(qt.k - qs.k, qt.u, qt.l, qt.v))
+            yield qs, qt, rep, rep not in seen
+            seen.add(rep)
+
+
+@_suite("dims")
+def _suite_dims(spec: AlgebraSpec, k_span, l_max):
+    oracle: dict[tuple, int] = {}
+    for qs, qt, rep, new in _shift_classes(spec, k_span, l_max):
+        if new:
+            oracle[rep] = hom_space_dimension(*(build_complex(spec, q) for q in rep))
+        formula = hom_dim(spec, qs, qt)
+        if formula == oracle[rep]:
+            yield []
+        else:
+            yield [f"{tuple(qs)} -> {tuple(qt)}: formula {formula}, oracle {oracle[rep]}"]
+
+
+@_suite("basis")
+def _suite_basis(spec: AlgebraSpec, k_span, l_max):
+    for _, _, (rep_s, rep_t), new in _shift_classes(spec, k_span, l_max):
+        if not new:
+            continue
+        claimed = [
+            (label, build)
+            for label, member, build in (("phi", in_phi, phi_map), ("psi", in_psi, psi_map))
+            if member(spec, rep_t, rep_s)
+        ]
+        if not claimed:
+            continue
+        pair = f"{tuple(rep_s)} -> {tuple(rep_t)}"
+        failures, maps = [], []
+        for label, build in claimed:
+            try:
+                maps.append((label, build(spec, rep_t, rep_s)))
+            except ValueError as exc:
+                failures.append(f"{label} {pair}: {exc}")
+        if not failures:
             for label, chain in maps:
-                problem = validate_chain_map(chain)
+                problem = validate_chain_map(chain) or (
+                    "null-homotopic" if is_null_homotopic(chain) else None
+                )
                 if problem is not None:
-                    failures.append(f"{label} {tuple(rep_s)} -> {tuple(rep_t)}: {problem}")
-                elif is_null_homotopic(chain):
-                    failures.append(f"{label} {tuple(rep_s)} -> {tuple(rep_t)}: null-homotopic")
+                    failures.append(f"{label} {pair}: {problem}")
             if len(maps) == 2 and homotopy_rank([c for _, c in maps]) != 2:
-                failures.append(f"{tuple(rep_s)} -> {tuple(rep_t)}: pair is not rank 2")
-    return {"name": "basis", "checks": checks, "failures": failures}
+                failures.append(f"{pair}: pair is not rank 2")
+        yield failures
 
 
-def _window_generators(spec: AlgebraSpec, vertices):
-    gens = []
-    for v in vertices:
-        for u in vertices:
-            if in_F(spec, v, u) and v != u:
-                gens.append(hom_f(spec, v, u))
-            if in_G(spec, v, u):
-                gens.append(hom_g(spec, v, u))
-    return gens
-
-
-def _suite_functoriality(spec: AlgebraSpec, a_span, b_span) -> dict:
-    vertices = _window_vertices(spec, a_span, b_span)
-    gens = _window_generators(spec, vertices)
+@_suite("functoriality")
+def _suite_functoriality(spec: AlgebraSpec, a_span, b_span):
+    vertices = tuple(_window_vertices(spec, a_span, b_span))
+    gens = [
+        _generator_hom(spec, key)
+        for key in generator_keys(spec, vertices)
+        if key[0] == "g" or key[1] != key[2]
+    ]
     by_source: dict[GammaVertex, list] = {}
     for h in gens:
         by_source.setdefault(h.source, []).append(h)
-    checks = 0
-    failures = []
     for h1 in gens:
         for h2 in by_source.get(h1.target, ()):
-            checks += 1
             composite = gamma_compose(h2, h1)
             lhs = compose_chain_maps(theta_hom(h2), theta_hom(h1))
             if not composite.is_zero():
                 lhs = add_chain_maps(lhs, scale_chain_map(theta_hom(composite), -1))
-            if not is_null_homotopic(lhs):
-                failures.append(
-                    f"{tuple(h1.source)} -> {tuple(h1.target)} -> {tuple(h2.target)}"
-                )
-    return {"name": "functoriality", "checks": checks, "failures": failures}
+            if is_null_homotopic(lhs):
+                yield []
+            else:
+                yield [f"{tuple(h1.source)} -> {tuple(h1.target)} -> {tuple(h2.target)}"]
 
 
-def _suite_suspension(spec: AlgebraSpec, a_span, b_span) -> dict:
-    checks = 0
-    failures = []
+@_suite("suspension")
+def _suite_suspension(spec: AlgebraSpec, a_span, b_span):
     for v in _window_vertices(spec, a_span, b_span):
-        checks += 1
         left = build_complex(spec, suspend_quadruple(theta_vertex(spec, v)))
         right = build_complex(spec, theta_vertex(spec, suspend_vertex(spec, v)))
-        if not is_isomorphic_K(left, right):
-            failures.append(f"suspension square fails at {tuple(v)}")
-    return {"name": "suspension", "checks": checks, "failures": failures}
+        yield [] if is_isomorphic_K(left, right) else [f"suspension square fails at {tuple(v)}"]
 
 
-def _suite_irreducibles(spec: AlgebraSpec, a_span, b_span) -> dict:
-    checks = 0
-    failures = []
+@_suite("irreducibles")
+def _suite_irreducibles(spec: AlgebraSpec, a_span, b_span):
     for v in _window_vertices(spec, a_span, b_span):
-        checks += 1
         transported = [theta_vertex(spec, t) for t in irreducible_targets(spec, v)]
         table = irr_targets_quadruple(spec, theta_vertex(spec, v))
-        if transported != table:
-            failures.append(
+        if transported == table:
+            yield []
+        else:
+            yield [
                 f"{tuple(v)}: transported {[tuple(q) for q in transported]}"
                 f" != table {[tuple(q) for q in table]}"
-            )
-    return {"name": "irreducibles", "checks": checks, "failures": failures}
+            ]
 
 
-def _suite_triangles(spec: AlgebraSpec, a_span, b_span) -> dict:
-    checks = 0
-    failures = []
+@_suite("triangles")
+def _suite_triangles(spec: AlgebraSpec, a_span, b_span):
     for v in _window_vertices(spec, a_span, b_span):
-        checks += 1
         try:
             standard_triangle(spec, v)
+            yield []
         except TriangleCertificationError as exc:
-            failures.append(str(exc))
-    return {"name": "triangles", "checks": checks, "failures": failures}
+            yield [str(exc)]
 
 
-def _naturality_failure(cx: NaturalityCounterexample) -> str:
-    """The failure line of a naturality counterexample, with both sides' coefficients."""
-    return (
+def _conjugation_check(data) -> tuple:
+    """The conjugation family of pseudo-identity data and the failure lines
+    of its naturality check ([] when natural); the family is None, and the
+    one line says why, when the construction fails."""
+    try:
+        family = construct_conjugation(data)
+    except InvalidPseudoIdentity as exc:
+        return None, [str(exc)]
+    cx = verify_naturality(family, data)
+    if cx is None:
+        return family, []
+    return family, [
         f"naturality fails for {cx.kind} {tuple(cx.source)} -> {tuple(cx.target)}: "
         f"phi o F(h) = {cx.lhs.f_coeff} f + {cx.lhs.g_coeff} g, "
         f"h o phi = {cx.rhs.f_coeff} f + {cx.rhs.g_coeff} g"
-    )
+    ]
 
 
-def _suite_rigidity(spec: AlgebraSpec, window: Window, seed: int) -> dict:
-    checks = 0
-    failures = []
+@_suite("rigidity")
+def _suite_rigidity(spec: AlgebraSpec, window: Window, seed: int):
     ident = identity_data(spec, window)
-    checks += 1
-    if construct_conjugation(ident) != identity_family(spec, ident.vertices()):
-        failures.append("identity data does not return the identity family")
-    for offset in range(3):
-        checks += 1
-        data = random_pseudo_identity(spec, window, seed + offset)
-        try:
-            family = construct_conjugation(data)
-        except InvalidPseudoIdentity as exc:
-            failures.append(f"seed {seed + offset}: {exc}")
-            continue
-        counterexample = verify_naturality(family, data)
-        if counterexample is not None:
-            failures.append(f"seed {seed + offset}: {_naturality_failure(counterexample)}")
-    return {"name": "rigidity", "checks": checks, "failures": failures}
+    if construct_conjugation(ident) == identity_family(spec, ident.vertices()):
+        yield []
+    else:
+        yield ["identity data does not return the identity family"]
+    for s in range(seed, seed + 3):
+        _, violations = _conjugation_check(random_pseudo_identity(spec, window, s))
+        yield [f"seed {s}: {line}" for line in violations]
 
 
 def cmd_verify(spec: AlgebraSpec, args: argparse.Namespace) -> int:
@@ -382,23 +368,13 @@ def cmd_verify(spec: AlgebraSpec, args: argparse.Namespace) -> int:
     window = _parse_window(a_span, b_span)
     if args.l < 0:
         raise UsageError("--l must be nonnegative")
-    if args.inject_fault:
-        basismaps._FAULT = args.inject_fault
-        clear_caches()
-    try:
-        suites = []
-        if args.oracle == "on":
-            suites.append(_suite_dims(spec, k_span, args.l))
-        suites.append(_suite_basis(spec, k_span, args.l))
-        suites.append(_suite_functoriality(spec, a_span, b_span))
-        suites.append(_suite_suspension(spec, a_span, b_span))
-        suites.append(_suite_irreducibles(spec, a_span, b_span))
-        suites.append(_suite_triangles(spec, a_span, b_span))
-        suites.append(_suite_rigidity(spec, window, args.seed))
-    finally:
-        if args.inject_fault:
-            basismaps._FAULT = None
-            clear_caches()
+    suites = [_suite_dims(spec, k_span, args.l)] if args.oracle == "on" else []
+    suites.append(_suite_basis(spec, k_span, args.l))
+    suites.append(_suite_functoriality(spec, a_span, b_span))
+    suites.append(_suite_suspension(spec, a_span, b_span))
+    suites.append(_suite_irreducibles(spec, a_span, b_span))
+    suites.append(_suite_triangles(spec, a_span, b_span))
+    suites.append(_suite_rigidity(spec, window, args.seed))
     ok = all(not s["failures"] for s in suites)
     obj = {
         "schema": SCHEMA_VERSION,
@@ -406,7 +382,7 @@ def cmd_verify(spec: AlgebraSpec, args: argparse.Namespace) -> int:
         "window": {"k": list(k_span), "l": args.l, "a": list(a_span), "b": list(b_span)},
         "seed": args.seed,
         "oracle": args.oracle == "on",
-        "fault": args.inject_fault,
+        "fault": None,
         "suites": [
             {"name": s["name"], "checks": s["checks"], "failures": s["failures"][:10]}
             for s in suites
@@ -480,42 +456,21 @@ def cmd_rigidity_check(spec: AlgebraSpec, args: argparse.Namespace) -> int:
         if data.spec != spec:
             raise UsageError("data algebra does not match --algebra")
         window = data.window
-        entry = {"source": args.input, "violations": validate_pseudo_identity(data)[:10]}
-        if not entry["violations"]:
-            try:
-                family = construct_conjugation(data)
-                counterexample = verify_naturality(family, data)
-                if counterexample is None:
-                    entry["ok"] = True
-                    family_obj = family_to_obj(family)
-                else:
-                    entry["ok"] = False
-                    entry["violations"] = [_naturality_failure(counterexample)]
-            except InvalidPseudoIdentity as exc:
-                entry["ok"] = False
-                entry["violations"] = [str(exc)]
-        else:
-            entry["ok"] = False
-        instances.append(entry)
+        violations = validate_pseudo_identity(data)[:10]
+        if not violations:
+            family, violations = _conjugation_check(data)
+            if not violations:
+                family_obj = family_to_obj(family)
+        instances.append({"source": args.input, "violations": violations, "ok": not violations})
     else:
         window = _parse_window(_parse_span(args.a, "--a"), _parse_span(args.b, "--b"))
         if args.count < 1:
             raise UsageError("--count must be positive")
-        for offset in range(args.count):
-            seed = args.seed + offset
-            entry = {"seed": seed}
-            try:
-                data = random_pseudo_identity(spec, window, seed)
-                family = construct_conjugation(data)
-                counterexample = verify_naturality(family, data)
-                if counterexample is None:
-                    entry["ok"] = True
-                else:
-                    entry["ok"] = False
-                    entry["violations"] = [_naturality_failure(counterexample)]
-            except (InvalidPseudoIdentity, ValueError) as exc:
-                entry["ok"] = False
-                entry["violations"] = [str(exc)]
+        for seed in range(args.seed, args.seed + args.count):
+            _, violations = _conjugation_check(random_pseudo_identity(spec, window, seed))
+            entry = {"seed": seed, "ok": not violations}
+            if violations:
+                entry["violations"] = violations
             instances.append(entry)
     ok = all(entry["ok"] for entry in instances)
     obj = {
@@ -564,12 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.add_argument("--oracle", choices=["on", "off"], default="on")
-    verify.add_argument(
-        "--inject-fault",
-        choices=["psi-sign", "phi-membership"],
-        default=None,
-        help=argparse.SUPPRESS,
-    )
 
     export = sub.add_parser("ar-export", help="vertex grid with irreducible-map edges")
     export.add_argument("--a", default="0:2", metavar="LO:HI")

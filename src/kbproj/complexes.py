@@ -165,6 +165,29 @@ def zero_complex(spec: AlgebraSpec) -> ProjComplex:
     return ProjComplex(spec, {}, {})
 
 
+def _matrices_problem(spec, mats, rows_at, cols_at, what: str, cell: str) -> str | None:
+    """The first failure of shape or of a path among degree-indexed matrices, else None.
+
+    Degree i's rows and columns stand for the vertices rows_at(i) and
+    cols_at(i); each entry's paths must be valid and run between them.
+    """
+    for i, mat in sorted(mats.items()):
+        rows, cols = rows_at(i), cols_at(i)
+        if len(mat) != len(rows) or any(len(r) != len(cols) for r in mat):
+            return f"degree {i}: {what} shape does not match summands"
+        for r, row in enumerate(mat):
+            for col, entry in enumerate(row):
+                for path, _ in entry.terms():
+                    if not path_is_valid(spec, path):
+                        return f"degree {i}: {cell} ({r},{col}) holds an invalid path"
+                    if path.start != rows[r] or path.end != cols[col]:
+                        return (
+                            f"degree {i}: {cell} ({r},{col}) path runs "
+                            f"{path.start}->{path.end}, expected {rows[r]}->{cols[col]}"
+                        )
+    return None
+
+
 def validate_complex(c: ProjComplex) -> str | None:
     """None when well formed, else a description of the first failure."""
     spec = c.spec
@@ -172,20 +195,11 @@ def validate_complex(c: ProjComplex) -> str | None:
         for v in c.summand(i):
             if v not in spec.vertices:
                 return f"degree {i}: summand vertex {v} not in the algebra"
-    for i, mat in sorted(c.diffs.items()):
-        rows, cols = c.summand(i + 1), c.summand(i)
-        if len(mat) != len(rows) or any(len(r) != len(cols) for r in mat):
-            return f"degree {i}: differential shape does not match summands"
-        for r, row in enumerate(mat):
-            for col, entry in enumerate(row):
-                for path, _ in entry.terms():
-                    if not path_is_valid(spec, path):
-                        return f"degree {i}: entry ({r},{col}) holds an invalid path"
-                    if path.start != rows[r] or path.end != cols[col]:
-                        return (
-                            f"degree {i}: entry ({r},{col}) path runs "
-                            f"{path.start}->{path.end}, expected {rows[r]}->{cols[col]}"
-                        )
+    problem = _matrices_problem(
+        spec, c.diffs, lambda i: c.summand(i + 1), c.summand, "differential", "entry"
+    )
+    if problem is not None:
+        return problem
     for i in c.degrees():
         if c.summand(i) and c.summand(i + 1) and c.summand(i + 2):
             sq = mat_mul(spec, c.diff(i + 1), c.diff(i))
@@ -288,20 +302,11 @@ def validate_chain_map(f: ChainMap) -> str | None:
     spec = f.source.spec
     if spec != f.target.spec:
         return "source and target live over different algebras"
-    for i, mat in sorted(f.components.items()):
-        rows, cols = f.target.summand(i), f.source.summand(i)
-        if len(mat) != len(rows) or any(len(r) != len(cols) for r in mat):
-            return f"degree {i}: component shape does not match summands"
-        for r, row in enumerate(mat):
-            for col, entry in enumerate(row):
-                for path, _ in entry.terms():
-                    if not path_is_valid(spec, path):
-                        return f"degree {i}: component ({r},{col}) holds an invalid path"
-                    if path.start != rows[r] or path.end != cols[col]:
-                        return (
-                            f"degree {i}: component ({r},{col}) path runs "
-                            f"{path.start}->{path.end}, expected {rows[r]}->{cols[col]}"
-                        )
+    problem = _matrices_problem(
+        spec, f.components, f.target.summand, f.source.summand, "component", "component"
+    )
+    if problem is not None:
+        return problem
     comps = f.components
     lo = min(list(f.source.summands) + list(f.target.summands), default=0)
     hi = max(list(f.source.summands) + list(f.target.summands), default=0)

@@ -1,4 +1,5 @@
-"""Shared fixtures: the algebra list and a from-scratch path enumerator.
+"""Shared fixtures: the algebra list, a from-scratch path enumerator, and
+deliberate faults in the basis maps.
 
 The enumerator below rebuilds the quiver with relations directly from the
 (n, m) parameters - vertex range, one arrow into each vertex, forbidden
@@ -8,9 +9,13 @@ routes stay independent.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
-from kbproj.algebra import AlgebraSpec
+from kbproj import basismaps, gamma
+from kbproj.algebra import AlgebraSpec, successor_power
+from kbproj.complexes import clear_caches, scale_chain_map
 
 ALGEBRA_PARAMS = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 2)]
 
@@ -48,3 +53,51 @@ def brute_arrow_words(n: int, m: int, u: int, v: int) -> list[tuple[int, ...]]:
             frontier.append((w, (w,) + word))
     words.sort(key=lambda word: (len(word), word))
     return words
+
+
+# -- Deliberate faults ---------------------------------------------------------
+
+
+def _unsigned_psi_map(spec, q_target, q_source):
+    """psi_map without its sign (-1)^(k+l): composites mixing parities go wrong."""
+    chain = basismaps.psi_map(spec, q_target, q_source)
+    k, _, l, _ = q_source
+    return scale_chain_map(chain, -1) if (k + l) % 2 else chain
+
+
+def _in_phi_without_degree_clause(spec, q_target, q_source):
+    """basismaps._in_phi without its ``kp == k and not (u <= up)`` clause."""
+    kp, up, lp, vp = q_target
+    k, u, l, v = q_source
+    if not (kp <= k <= kp + lp <= k + l):
+        return False
+    if successor_power(spec, up, lp + 1) != successor_power(spec, u, kp + lp + 1 - k):
+        return False
+    top = successor_power(spec, u, l)
+    if k + l == kp + lp and v < top and not (v <= vp < top):
+        return False
+    if k == kp + lp and vp != successor_power(spec, up, lp) and u <= vp:
+        return False
+    return True
+
+
+_FAULTS = {
+    # theta_hom looks psi_map up in gamma; hom_dim, in_phi and phi_map look
+    # _in_phi up in basismaps
+    "psi-sign": (gamma, "psi_map", _unsigned_psi_map),
+    "phi-membership": (basismaps, "_in_phi", _in_phi_without_degree_clause),
+}
+
+
+@contextlib.contextmanager
+def fault(name: str):
+    """Run the block with one basis-map fault patched in, emptying every memo
+    before and after so that no result crosses the boundary."""
+    module, attr, broken = _FAULTS[name]
+    clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, attr, broken)
+            yield
+    finally:
+        clear_caches()

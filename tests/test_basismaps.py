@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kbproj.basismaps as basismaps
-from conftest import ALGEBRA_PARAMS
+from conftest import ALGEBRA_PARAMS, fault
 from kbproj.algebra import AlgebraSpec
 from kbproj.basismaps import (
     hom_dim,
@@ -23,7 +22,6 @@ from kbproj.basismaps import (
     psi_map,
 )
 from kbproj.complexes import (
-    clear_caches,
     compose_chain_maps,
     hom_space,
     hom_space_dimension,
@@ -205,19 +203,15 @@ def _functoriality_failures(spec: AlgebraSpec) -> int:
     return bad
 
 
-def test_fault_hook_psi_sign_breaks_functoriality():
+def test_psi_sign_fault_breaks_functoriality():
     spec = AlgebraSpec(2, 1)
     assert _functoriality_failures(spec) == 0
-    basismaps._FAULT = "psi-sign"
-    clear_caches()
-    try:
+    with fault("psi-sign"):
         assert _functoriality_failures(spec) > 0
-    finally:
-        basismaps._FAULT = None
-        clear_caches()
+    assert _functoriality_failures(spec) == 0
 
 
-def test_fault_hook_phi_membership_breaks_dimensions():
+def test_phi_membership_fault_breaks_dimensions():
     spec = AlgebraSpec(2, 1)
     quads = enumerate_quadruples(spec, -1, 1, 2)
 
@@ -230,13 +224,9 @@ def test_fault_hook_phi_membership_breaks_dimensions():
         )
 
     assert mismatches() == 0
-    basismaps._FAULT = "phi-membership"
-    clear_caches()
-    try:
+    with fault("phi-membership"):
         assert mismatches() > 0
-    finally:
-        basismaps._FAULT = None
-        clear_caches()
+    assert mismatches() == 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from conftest import fault
 from kbproj import algebra, complexes, rigidity
 from kbproj.algebra import AlgebraSpec, Path, PathCombination
 from kbproj.cli import _suite_functoriality, main
@@ -159,7 +160,8 @@ def test_fault_after_clean_run_is_still_caught(capsys):
     code, _ = verify_json(capsys, *window)
     assert code == 0
     assert memo_table("gamma.theta_hom")
-    code, out = verify_json(capsys, *window, "--inject-fault", "psi-sign")
+    with fault("psi-sign"):
+        code, out = verify_json(capsys, *window)
     assert code == 1
     report = json.loads(out)
     functoriality = next(s for s in report["suites"] if s["name"] == "functoriality")

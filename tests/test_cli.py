@@ -7,8 +7,10 @@ import re
 
 import pytest
 
+from conftest import fault
 from kbproj import cli
 from kbproj.cli import main
+from kbproj.rigidity import InvalidPseudoIdentity, construct_conjugation, identity_data
 
 
 def run(capsys, *argv):
@@ -104,22 +106,22 @@ def test_verify_reports_are_byte_identical(capsys):
     assert all(s["failures"] == [] for s in report["suites"])
 
 
-def test_verify_fault_injection_fails_with_counterexample(capsys):
-    code, out, _ = run(
-        capsys,
-        "--algebra", "2,1",
-        "verify", "--k", "0:1", "--l", "1", "--a", "-2:0", "--b", "-2:0",
-        "--oracle", "off", "--inject-fault", "psi-sign",
-        "--format", "json",
-    )
+def test_verify_psi_sign_fault_fails_with_counterexample(capsys):
+    with fault("psi-sign"):
+        code, out, _ = run(
+            capsys,
+            "--algebra", "2,1",
+            "verify", "--k", "0:1", "--l", "1", "--a", "-2:0", "--b", "-2:0",
+            "--oracle", "off", "--format", "json",
+        )
     assert code == 1
     report = json.loads(out)
     assert report["ok"] is False
-    assert report["fault"] == "psi-sign"
+    assert report["fault"] is None
     functoriality = next(s for s in report["suites"] if s["name"] == "functoriality")
     assert functoriality["failures"]
     assert "->" in functoriality["failures"][0]
-    # the hook is restored afterwards: the same window is clean again
+    # with the real psi_map back, the same window is clean again
     code, out, _ = run(
         capsys,
         "--algebra", "2,1",
@@ -130,13 +132,13 @@ def test_verify_fault_injection_fails_with_counterexample(capsys):
 
 
 def test_verify_membership_fault_breaks_dims(capsys):
-    code, out, _ = run(
-        capsys,
-        "--algebra", "2,1",
-        "verify", "--k", "-1:1", "--l", "2", "--a", "0:0", "--b", "0:0",
-        "--inject-fault", "phi-membership",
-        "--format", "json",
-    )
+    with fault("phi-membership"):
+        code, out, _ = run(
+            capsys,
+            "--algebra", "2,1",
+            "verify", "--k", "-1:1", "--l", "2", "--a", "0:0", "--b", "0:0",
+            "--format", "json",
+        )
     assert code == 1
     report = json.loads(out)
     dims = next(s for s in report["suites"] if s["name"] == "dims")
@@ -406,3 +408,63 @@ def test_verify_naturality_failure_names_both_sides(capsys, monkeypatch):
         r"h o phi = -?\d+(/\d+)? f \+ -?\d+(/\d+)? g"
     )
     assert all(line.fullmatch(failure) for failure in rigidity["failures"][1:])
+
+
+SEED_SOLVE_FAILURE = "seed solve failed at (0, 0, 1)"
+
+
+def failing_seed_solve(data):
+    """construct_conjugation when every seed solve fails."""
+    raise InvalidPseudoIdentity(SEED_SOLVE_FAILURE)
+
+
+def failing_seed_solve_unless_identity(data):
+    """construct_conjugation, failing its seed solve on all but identity data."""
+    if data == identity_data(data.spec, data.window):
+        return construct_conjugation(data)
+    return failing_seed_solve(data)
+
+
+def test_verify_reports_a_failed_seed_solve(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "construct_conjugation", failing_seed_solve_unless_identity)
+    code, out, _ = run(
+        capsys,
+        "--algebra", "2,1",
+        "verify", "--k", "0:0", "--l", "0", "--a", "-1:1", "--b", "-1:1",
+        "--oracle", "off", "--seed", "4", "--format", "json",
+    )
+    assert code == 1
+    rigidity = next(s for s in json.loads(out)["suites"] if s["name"] == "rigidity")
+    assert rigidity["checks"] == 4
+    assert rigidity["failures"] == [f"seed {s}: {SEED_SOLVE_FAILURE}" for s in (4, 5, 6)]
+
+
+def test_rigidity_check_reports_a_failed_seed_solve(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "construct_conjugation", failing_seed_solve)
+    code, out, _ = run(
+        capsys, "--algebra", "1,0", "rigidity-check", "--count", "2", "--seed", "5",
+        "--format", "json",
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["instances"] == [
+        {"seed": s, "ok": False, "violations": [SEED_SOLVE_FAILURE]} for s in (5, 6)
+    ]
+    code, out, _ = run(capsys, "--algebra", "1,0", "rigidity-check", "--count", "1")
+    assert code == 1
+    assert out.splitlines() == ["seed 0: FAIL", f"  {SEED_SOLVE_FAILURE}", "FAIL"]
+
+
+def test_rigidity_check_input_reports_a_failed_seed_solve(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "construct_conjugation", failing_seed_solve)
+    path = write_hand_made(tmp_path)
+    code, out, _ = run(
+        capsys, "--algebra", "1,0", "rigidity-check", "--input", path, "--format", "json"
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert "family" not in report
+    assert report["instances"] == [
+        {"source": path, "ok": False, "violations": [SEED_SOLVE_FAILURE]}
+    ]

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALGEBRA_PARAMS
-from kbproj.algebra import AlgebraSpec, PathCombination, make_path
+from kbproj.algebra import AlgebraSpec, Path, PathCombination, make_path
 from kbproj.complexes import (
+    ChainMap,
     add_chain_maps,
     compose_chain_maps,
     cone_inclusion,
@@ -71,6 +72,30 @@ def test_validate_rejects_wrong_endpoints():
     entry = PathCombination.of(make_path(spec, [0]))
     c = make_complex(spec, {0: (0,), 1: (-1,)}, {0: ((entry,),)})
     assert "path runs" in validate_complex(c)
+
+
+def test_complex_and_chain_map_checks_name_their_matrices():
+    spec = AlgebraSpec(2, 1)
+    wrong = PathCombination.of(make_path(spec, [0]))
+    invalid = PathCombination.of(Path(0, (7,)))
+    complex_problems = [
+        validate_complex(make_complex(spec, {0: (0,), 1: (-1,)}, {0: ((entry,),)}))
+        for entry in (wrong, invalid)
+    ]
+    assert complex_problems == [
+        "degree 0: entry (0,0) path runs 1->0, expected -1->0",
+        "degree 0: entry (0,0) holds an invalid path",
+    ]
+    source, target = stalk_complex(spec, 0), stalk_complex(spec, -1)
+    map_problems = [
+        validate_chain_map(ChainMap(source, target, {0: mat}))
+        for mat in (((wrong,),), ((invalid,),), ((wrong, wrong),))
+    ]
+    assert map_problems == [
+        "degree 0: component (0,0) path runs 1->0, expected -1->0",
+        "degree 0: component (0,0) holds an invalid path",
+        "degree 0: component shape does not match summands",
+    ]
 
 
 def test_validate_rejects_nonzero_square():
