@@ -222,25 +222,11 @@ def shift(c: ProjComplex, t: int) -> ProjComplex:
 
 
 def direct_sum(a: ProjComplex, b: ProjComplex) -> ProjComplex:
+    """a (+) b, a's summands first: the cone of the zero map shift(a, -1) -> b,
+    block-diagonal since the odd shift negates d_a and the cone negates it back."""
     if a.spec != b.spec:
         raise ValueError("direct sum across different algebras")
-    summands = {}
-    for i in set(a.summands) | set(b.summands):
-        summands[i] = a.summand(i) + b.summand(i)
-    diffs = {}
-    for i in summands:
-        if i + 1 not in summands:
-            continue
-        na_r, nb_r = len(a.summand(i + 1)), len(b.summand(i + 1))
-        na_c, nb_c = len(a.summand(i)), len(b.summand(i))
-        da, db = a.diff(i), b.diff(i)
-        mat = []
-        for r in range(na_r):
-            mat.append(tuple(da[r]) + mat_zero(1, nb_c)[0])
-        for r in range(nb_r):
-            mat.append(mat_zero(1, na_c)[0] + tuple(db[r]))
-        diffs[i] = tuple(mat)
-    return ProjComplex(a.spec, summands, diffs)
+    return mapping_cone(zero_chain_map(shift(a, -1), b))
 
 
 # -- Chain maps -------------------------------------------------------------
@@ -281,11 +267,11 @@ def make_chain_map(source: ProjComplex, target: ProjComplex, components) -> Chai
     return ChainMap(source, target, comps)
 
 
-def _unit_matrix(verts) -> Matrix:
-    """The identity of the sum of the projectives at verts."""
+def _unit_matrix(verts, coeff=1) -> Matrix:
+    """coeff times the identity of the sum of the projectives at verts."""
     z = PathCombination.zero()
     return tuple(
-        tuple(PathCombination.of(Path(v, ())) if r == col else z for col in range(len(verts)))
+        tuple(PathCombination.of(Path(v, ()), coeff) if r == col else z for col in range(len(verts)))
         for r, v in enumerate(verts)
     )
 
@@ -392,17 +378,10 @@ def mapping_cone(f: ChainMap) -> ProjComplex:
     for i in summands:
         if i + 1 not in summands:
             continue
-        c_rows, d_rows = c.summand(i + 2), d.summand(i + 1)
-        c_cols, d_cols = c.summand(i + 1), d.summand(i)
-        dc = mat_scale(c.diff(i + 1), -1)
-        dd = d.diff(i)
-        fc = f.component(i + 1)
-        mat = []
-        for r in range(len(c_rows)):
-            mat.append(tuple(dc[r]) + mat_zero(1, len(d_cols))[0])
-        for r in range(len(d_rows)):
-            mat.append(tuple(fc[r]) + tuple(dd[r]))
-        diffs[i] = tuple(mat)
+        zeros = mat_zero(1, len(d.summand(i)))[0]
+        upper = tuple(tuple(row) + zeros for row in mat_scale(c.diff(i + 1), -1))
+        pairs = zip(f.component(i + 1), d.diff(i), strict=True)
+        diffs[i] = upper + tuple(tuple(fr) + tuple(dr) for fr, dr in pairs)
     return ProjComplex(spec, summands, diffs)
 
 
@@ -644,8 +623,10 @@ def quotient(c: ProjComplex, d: ProjComplex) -> HomQuotient:
     the chain equations and the homotopy images each as a set: their echelon
     (pivots 1) and nullspace, and so every basis, solve and witness in
     degrees counted from t_c, stay the same.  ``hom_space``,
-    ``homotopy_rank``, ``is_null_homotopic``, ``is_isomorphic_K`` and the
-    solves of ``standard_triangle`` share cores; ``hom_space_dimension``,
+    ``homotopy_rank``, ``is_null_homotopic``, ``is_contractible``,
+    ``homotopy_factor`` and ``homotopy_inverse`` (through them
+    ``is_isomorphic_K`` and ``standard_triangle``) and the connecting-map
+    solve of ``standard_triangle`` share cores; ``hom_space_dimension``,
     whose sweeps ask each pair once, does not.  Over ``L(1, 0)``, with C the
     cone of the loop on ``P_0`` and D the stalk ``P_0``:
 
@@ -709,7 +690,43 @@ def is_null_homotopic(f: ChainMap) -> bool:
 
 def is_contractible(c: ProjComplex) -> bool:
     """Whether the identity is nullhomotopic, i.e. c is zero up to homotopy."""
-    return is_null_homotopic(identity_chain_map(c))
+    return quotient(c, c).contains(identity_chain_map(c))
+
+
+def homotopy_factor(f: ChainMap, rhs: ChainMap) -> ChainMap | None:
+    """A map x: f.target -> rhs.target with x after f homotopic to rhs, or None.
+
+    x combines the basis of ``hom_space(f.target, rhs.target)``, with the
+    coefficients that ``quotient(f.source, rhs.target)`` solves for.
+    """
+    basis = hom_space(f.target, rhs.target).basis
+    coeffs = quotient(f.source, rhs.target).solve([compose_chain_maps(b, f) for b in basis], rhs)
+    if coeffs is None:
+        return None
+    return combine_chain_maps(f.target, rhs.target, basis, coeffs)
+
+
+def homotopy_inverse(f: ChainMap) -> ChainMap | None:
+    """A two-sided homotopy inverse of f, or None when f is not an isomorphism.
+
+    g is ``homotopy_factor(f, id)``, and f after g minus the identity must be
+    null-homotopic.  Over ``L(1, 0)``, the identity of the stalk ``P_0`` has
+    an inverse and the loop ``a(0)`` has none:
+
+    >>> from kbproj.algebra import AlgebraSpec, Path, PathCombination
+    >>> p = stalk_complex(AlgebraSpec(1, 0), 0)
+    >>> homotopy_inverse(identity_chain_map(p)).components
+    {0: ((e(0),),)}
+    >>> loop = make_chain_map(p, p, {0: ((PathCombination.of(Path(0, (0,))),),)})
+    >>> homotopy_inverse(loop) is None
+    True
+    """
+    g = homotopy_factor(f, identity_chain_map(f.source))
+    if g is None:
+        return None
+    minus_id = scale_chain_map(identity_chain_map(f.target), -1)
+    round_trip = add_chain_maps(compose_chain_maps(f, g), minus_id)
+    return g if quotient(f.target, f.target).contains(round_trip) else None
 
 
 # -- Minimal models ----------------------------------------------------------
@@ -823,9 +840,9 @@ def is_isomorphic_K(c: ProjComplex, d: ProjComplex) -> IsoResult:
 
     Minimal models are compared degreewise first (an exact invariant);
     on a match, candidate isomorphisms are searched among hom basis
-    elements and a few combinations, each certified by solving for a
-    two-sided homotopy inverse.  Complete whenever one side is
-    indecomposable up to homotopy.
+    elements and a few combinations, and the first one that
+    ``homotopy_inverse`` certifies is returned with its inverse.
+    Complete whenever one side is indecomposable up to homotopy.
     """
     if c.spec != d.spec:
         raise ValueError("isomorphism across different algebras")
@@ -834,34 +851,16 @@ def is_isomorphic_K(c: ProjComplex, d: ProjComplex) -> IsoResult:
     if is_contractible(c):
         return IsoResult(True, zero_chain_map(c, d), zero_chain_map(d, c))
     forward = hom_space(c, d).basis
-    if not forward:
-        return IsoResult(False)
-    backward = hom_space(d, c).basis
-    if not backward:
-        return IsoResult(False)
-    endo = quotient(c, c)
-    identity = identity_chain_map(c)
-    minus_identity_d = scale_chain_map(identity_chain_map(d), -1)
     candidates = list(forward)
     if len(forward) > 1:
-        total = forward[0]
-        for f in forward[1:]:
-            total = add_chain_maps(total, f)
-        candidates.append(total)
+        candidates.append(combine_chain_maps(c, d, forward, dict.fromkeys(range(len(forward)), 1)))
         rng = random.Random(0)
         for _ in range(6):
-            combo = zero_chain_map(c, d)
-            for f in forward:
-                combo = add_chain_maps(combo, scale_chain_map(f, rng.randint(1, 7)))
-            candidates.append(combo)
+            coeffs = {j: rng.randint(1, 7) for j in range(len(forward))}
+            candidates.append(combine_chain_maps(c, d, forward, coeffs))
     for f in candidates:
-        # g is a homotopy left inverse of f, built on the backward basis
-        sol = endo.solve([compose_chain_maps(g, f) for g in backward], identity)
-        if sol is None:
-            continue
-        g = combine_chain_maps(d, c, backward, sol)
-        diff = add_chain_maps(compose_chain_maps(f, g), minus_identity_d)
-        if is_null_homotopic(diff):
+        g = homotopy_inverse(f)
+        if g is not None:
             return IsoResult(True, f, g)
     return IsoResult(False)
 

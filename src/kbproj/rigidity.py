@@ -43,23 +43,19 @@ from fractions import Fraction
 from random import Random
 from typing import NamedTuple
 
-from .algebra import AlgebraSpec, Path, PathCombination, memoized
+from .algebra import AlgebraSpec, memoized
 from .complexes import (
     ChainMap,
     ProjComplex,
     SCHEMA_VERSION,
-    add_chain_maps,
-    combine_chain_maps,
+    _unit_matrix,
     compose_chain_maps,
     cone_inclusion,
     cone_projection,
-    hom_space,
-    identity_chain_map,
-    is_null_homotopic,
+    homotopy_factor,
+    homotopy_inverse,
     make_chain_map,
-    mapping_cone,
     quotient,
-    scale_chain_map,
     shift,
 )
 from .gamma import (
@@ -475,17 +471,7 @@ def _suspension_comparison(spec: AlgebraSpec, v: GammaVertex) -> ChainMap:
     """The alternating-sign isomorphism Theta(suspension of v) -> shift(Theta(v), 1)."""
     shifted = shift(build_complex(spec, theta_vertex(spec, v)), 1)
     suspended = build_complex(spec, theta_vertex(spec, suspend_vertex(spec, v)))
-    comps = {}
-    for i in suspended.degrees():
-        verts = suspended.summand(i)
-        sign = Fraction(1) if i % 2 == 0 else Fraction(-1)
-        comps[i] = tuple(
-            tuple(
-                PathCombination.of(Path(w, ()), sign) if r == c else PathCombination.zero()
-                for c in range(len(verts))
-            )
-            for r, w in enumerate(verts)
-        )
+    comps = {i: _unit_matrix(s, -1 if i % 2 else 1) for i, s in suspended.summands.items()}
     return make_chain_map(suspended, shifted, comps)
 
 
@@ -493,10 +479,12 @@ def standard_triangle(spec: AlgebraSpec, v: GammaVertex) -> StandardTriangle:
     """The exact triangle V -> U -> W -> suspension of V on the vertex grid.
 
     U raises b by one and W is the bottom vertex of column b + 1.  The
-    composite of the two f generators is zero, the cone of the first
-    chain map is certified isomorphic to the complex of W, and the
-    connecting morphism is expressed through the basis morphisms into
-    the suspension; its g coefficient nu is returned and is nonzero.
+    composite of the two f generators is zero, and the cone of the first
+    chain map is certified isomorphic to the complex of W: the fill-in that
+    ``homotopy_factor`` finds through the second is nonzero and has a
+    ``homotopy_inverse``.  The connecting morphism is expressed through the
+    basis morphisms into the suspension; its g coefficient nu is returned
+    and is nonzero.
     """
     check_vertex(spec, v)
     i, a, b = v
@@ -509,35 +497,19 @@ def standard_triangle(spec: AlgebraSpec, v: GammaVertex) -> StandardTriangle:
     if not in_G(spec, w, sv):
         raise TriangleCertificationError(f"no connecting generator at {tuple(v)}")
 
-    t_w = build_complex(spec, theta_vertex(spec, w))
     first = theta_hom(hom_f(spec, v, u))
     second = theta_hom(hom_f(spec, u, w))
-    cone = mapping_cone(first)
     inclusion = cone_inclusion(first)
-    projection = cone_projection(first)
-
-    basis = hom_space(t_w, cone).basis
-    composed = [compose_chain_maps(candidate, second) for candidate in basis]
-    coeffs = quotient(second.source, cone).solve(composed, inclusion)
-    if coeffs is None:
+    fill_in = homotopy_factor(second, inclusion)
+    if fill_in is None:
         raise TriangleCertificationError(f"no fill-in map onto the cone at {tuple(v)}")
-    if not coeffs:
+    if fill_in.is_zero():
         raise TriangleCertificationError(f"fill-in map vanishes at {tuple(v)}")
-    fill_in = combine_chain_maps(t_w, cone, basis, coeffs)
-
-    reverse_basis = hom_space(cone, t_w).basis
-    composed_back = [compose_chain_maps(candidate, fill_in) for candidate in reverse_basis]
-    back_coeffs = quotient(t_w, t_w).solve(composed_back, identity_chain_map(t_w))
-    if back_coeffs is None:
-        raise TriangleCertificationError(f"fill-in map is not split at {tuple(v)}")
-    inverse = combine_chain_maps(cone, t_w, reverse_basis, back_coeffs)
-    round_trip = add_chain_maps(
-        compose_chain_maps(fill_in, inverse), scale_chain_map(identity_chain_map(cone), -1)
-    )
-    if not is_null_homotopic(round_trip):
+    inverse = homotopy_inverse(fill_in)
+    if inverse is None:
         raise TriangleCertificationError(f"fill-in map is not invertible at {tuple(v)}")
 
-    connecting = compose_chain_maps(projection, fill_in)
+    connecting = compose_chain_maps(cone_projection(first), fill_in)
     comparison = _suspension_comparison(spec, v)
     generators = []
     psi_index = 0
@@ -545,13 +517,13 @@ def standard_triangle(spec: AlgebraSpec, v: GammaVertex) -> StandardTriangle:
         generators.append(compose_chain_maps(comparison, theta_hom(hom_f(spec, w, sv))))
         psi_index = 1
     generators.append(compose_chain_maps(comparison, theta_hom(hom_g(spec, w, sv))))
-    expansion = quotient(t_w, connecting.target).solve(generators, connecting)
+    expansion = quotient(connecting.source, connecting.target).solve(generators, connecting)
     if expansion is None:
         raise TriangleCertificationError(f"connecting map escapes the basis at {tuple(v)}")
     nu = expansion.get(psi_index, Fraction(0))
     if nu == 0:
         raise TriangleCertificationError(f"connecting coefficient vanishes at {tuple(v)}")
-    certificate = TriangleCertificate(cone, fill_in, inverse, connecting)
+    certificate = TriangleCertificate(inclusion.target, fill_in, inverse, connecting)
     return StandardTriangle(u, w, nu, certificate)
 
 
