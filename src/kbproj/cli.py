@@ -413,32 +413,29 @@ def cmd_ar_export(spec: AlgebraSpec, args: argparse.Namespace) -> int:
         for t in irreducible_targets(spec, v):
             if t in inside:
                 edges.append((v, t))
-    if args.format == "json":
-        obj = {
-            "schema": SCHEMA_VERSION,
-            "algebra": [spec.n, spec.m],
-            "window": {"a": list(a_span), "b": list(b_span)},
-            "vertices": [
-                {
-                    "vertex": list(v),
-                    "shifted_projective": (
-                        list(sp) if (sp := is_shifted_projective(spec, v)) is not None else None
-                    ),
-                }
-                for v in vertices
-            ],
-            "edges": [{"from": list(v), "to": list(t)} for v, t in edges],
-        }
-        print(json.dumps(obj, indent=2, sort_keys=True))
-        return 0
+    obj = {
+        "schema": SCHEMA_VERSION,
+        "algebra": [spec.n, spec.m],
+        "window": {"a": list(a_span), "b": list(b_span)},
+        "vertices": [
+            {
+                "vertex": list(v),
+                "shifted_projective": (
+                    list(sp) if (sp := is_shifted_projective(spec, v)) is not None else None
+                ),
+            }
+            for v in vertices
+        ],
+        "edges": [{"from": list(v), "to": list(t)} for v, t in edges],
+    }
     lines = ["digraph grid {"]
-    for v in vertices:
-        shape = " shape=box" if is_shifted_projective(spec, v) is not None else ""
+    for v, record in zip(vertices, obj["vertices"]):
+        shape = " shape=box" if record["shifted_projective"] is not None else ""
         lines.append(f'  "{v.i},{v.a},{v.b}" [label="({v.i},{v.a},{v.b})"{shape}];')
     for v, t in edges:
         lines.append(f'  "{v.i},{v.a},{v.b}" -> "{t.i},{t.a},{t.b}";')
     lines.append("}")
-    print("\n".join(lines))
+    _emit(obj, args.format, lines)
     return 0
 
 

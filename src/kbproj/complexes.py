@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 
 from .algebra import (
@@ -200,12 +199,9 @@ def validate_complex(c: ProjComplex) -> str | None:
     )
     if problem is not None:
         return problem
-    for i in c.degrees():
-        if c.summand(i) and c.summand(i + 1) and c.summand(i + 2):
-            sq = mat_mul(spec, c.diff(i + 1), c.diff(i))
-            if not mat_is_zero(sq):
-                return f"degree {i}: differential does not square to zero"
-    return None
+    # the Hom differential of degree 1 sends d to d d + d d = 2 d^2
+    i = _lowest_residual(c, c, 1, c.diffs)
+    return None if i is None else f"degree {i}: differential does not square to zero"
 
 
 def shift(c: ProjComplex, t: int) -> ProjComplex:
@@ -293,18 +289,8 @@ def validate_chain_map(f: ChainMap) -> str | None:
     )
     if problem is not None:
         return problem
-    comps = f.components
-    lo = min(list(f.source.summands) + list(f.target.summands), default=0)
-    hi = max(list(f.source.summands) + list(f.target.summands), default=0)
-    for i in range(lo, hi + 1):
-        if i not in comps and i + 1 not in comps:
-            continue  # both sides of the square pass through a zero component
-        lhs = mat_mul(spec, f.target.diff(i), f.component(i))
-        rhs = mat_mul(spec, f.component(i + 1), f.source.diff(i))
-        # zero-row/zero-column products collapse to (), so compare up to zero
-        if lhs != rhs and not (mat_is_zero(lhs) and mat_is_zero(rhs)):
-            return f"degree {i}: does not commute with the differentials"
-    return None
+    i = _lowest_residual(f.source, f.target, 0, f.components)
+    return None if i is None else f"degree {i}: does not commute with the differentials"
 
 
 def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
@@ -385,30 +371,21 @@ def mapping_cone(f: ChainMap) -> ProjComplex:
     return ProjComplex(spec, summands, diffs)
 
 
-def cone_inclusion(f: ChainMap) -> ChainMap:
-    """The canonical chain map D -> cone(f)."""
+def cone_maps(f: ChainMap) -> tuple[ChainMap, ChainMap]:
+    """The canonical chain maps D -> cone(f) and cone(f) -> shift(C, 1), on one cone."""
     cone = mapping_cone(f)
     c, d = f.source, f.target
-    comps = {}
-    for i in d.degrees():
-        verts = d.summand(i)
-        comps[i] = mat_zero(len(c.summand(i + 1)), len(verts)) + _unit_matrix(verts)
-    return ChainMap(d, cone, comps)
-
-
-def cone_projection(f: ChainMap) -> ChainMap:
-    """The canonical chain map cone(f) -> shift(C, 1)."""
-    cone = mapping_cone(f)
-    c = f.source
-    sc = shift(c, 1)
-    comps = {}
+    inclusion = {
+        i: mat_zero(len(c.summand(i + 1)), len(d.summand(i))) + _unit_matrix(d.summand(i))
+        for i in d.degrees()
+    }
+    projection = {}
     for i in cone.degrees():
         verts = c.summand(i + 1)
-        if not verts:
-            continue
-        zeros = mat_zero(1, len(f.target.summand(i)))[0]
-        comps[i] = tuple(row + zeros for row in _unit_matrix(verts))
-    return ChainMap(cone, sc, comps)
+        if verts:
+            zeros = mat_zero(1, len(d.summand(i)))[0]
+            projection[i] = tuple(row + zeros for row in _unit_matrix(verts))
+    return ChainMap(d, cone, inclusion), ChainMap(cone, shift(c, 1), projection)
 
 
 # -- Hom spaces in the homotopy category -------------------------------------
@@ -438,57 +415,79 @@ def _hom_variables(c: ProjComplex, d: ProjComplex, offset: int) -> list:
     return out
 
 
-# The assembly below multiplies one basis path with one differential entry
-# by table lookups.  Such a product is injective on the entry's parallel
-# paths and keeps their order, so it contributes each entry coefficient
-# once, exactly as ``algebra_product`` would.  A zero product is None,
-# which indexes no variable.  Variable degrees count from the lowest
-# degree t of C, so differentials are read at degree i + t.
+# The Hom complex of C and D holds in degree n the degreewise maps
+# x: C^i -> D^{i+n}, with the differential D(x) = d_D x - (-1)^n x d_C.
+# ``_hom_differential`` is the one place where a map meets the
+# differentials, and it has four readers: the chain equations are the
+# kernel of D in degree 0, the homotopy images are the image of D from
+# degree -1, ``validate_chain_map`` asks D(f) = 0, and ``validate_complex``
+# asks D(d) = 2 d^2 = 0 in degree 1.  It multiplies one unit path with one
+# differential entry by table lookups.  Such a product is injective on the
+# entry's parallel paths and keeps their order, so it contributes each
+# entry coefficient once, exactly as ``algebra_product`` would; a zero
+# product yields no term.  Unit degrees count from the lowest degree t of
+# C, so differentials are read at degree i + t.
 
 
-def _chain_equations(c: ProjComplex, d: ProjComplex, fvars):
-    """Rows of the linear system expressing d_D f = f d_C on path coordinates."""
+def _hom_differential(c: ProjComplex, d: ProjComplex, n: int, units):
+    """Each nonzero term of D(x) = d_D x - (-1)^n x d_C, x running over units.
+
+    ``units`` yields (tag, (i, r, col, p)): the path p as the map from
+    summand col of C^i to summand r of D^{i+n}.  Each term is
+    (tag, (j, s, col, path), coeff), coeff times path in row s, column col
+    of D(x) at degree j, a map C^j -> D^{j+n+1}.
+    """
     products = path_table(c.spec).products
     t = _lowest(c)
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    for var, (i, r, col, p) in enumerate(fvars):
-        # d_D composed after f at degree i
+    for tag, (i, r, col, p) in units:
         after_p = products[p]
-        for s, drow in enumerate(d.diffs.get(i + t, ())):
+        for s, drow in enumerate(d.diffs.get(i + n + t, ())):
             for path, coeff in drow[r].terms():
                 pq = after_p[path]
                 if pq is not None:
-                    add_entry(rows.setdefault((i, s, col, pq), {}), var, coeff)
-        # f at degree i composed after d_C at degree i-1
+                    yield tag, (i, s, col, pq), coeff
         dc = c.diffs.get(i + t - 1)
         for col0, entry in enumerate(dc[col] if dc else ()):
             for path, coeff in entry.terms():
                 pq = products[path][p]
                 if pq is not None:
-                    add_entry(rows.setdefault((i - 1, r, col0, pq), {}), var, -coeff)
+                    yield tag, (i - 1, r, col0, pq), coeff if n % 2 else -coeff
+
+
+def _map_terms(mats, t: int):
+    """(coeff, (i - t, r, col, path)) for every term of the degree-indexed matrices."""
+    for i, mat in mats.items():
+        for r, row in enumerate(mat):
+            for col, entry in enumerate(row):
+                for path, coeff in entry.terms():
+                    yield coeff, (i - t, r, col, path)
+
+
+def _lowest_residual(c: ProjComplex, d: ProjComplex, n: int, mats) -> int | None:
+    """The lowest degree where D(x) is nonzero, x: C -> D[n] with components mats, else None."""
+    t = _lowest(c)
+    residual: dict[tuple, Fraction] = {}
+    for a, key, b in _hom_differential(c, d, n, _map_terms(mats, t)):
+        add_entry(residual, key, a * b)
+    return min(key[0] for key in residual) + t if residual else None
+
+
+def _chain_equations(c: ProjComplex, d: ProjComplex, fvars):
+    """Rows of the linear system expressing d_D f = f d_C on path coordinates."""
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for var, key, coeff in _hom_differential(c, d, 0, enumerate(fvars)):
+        add_entry(rows.setdefault(key, {}), var, coeff)
     return [rows[k] for k in sorted(rows, key=lambda t: (t[0], t[1], t[2], t[3].sort_key()))]
 
 
 def _homotopy_images(c: ProjComplex, d: ProjComplex, findex):
     """Image vectors (in f-variable coordinates) of the unit homotopies."""
-    products = path_table(c.spec).products
-    t = _lowest(c)
-    images = []
-    for (i, r, col, q) in _hom_variables(c, d, -1):
-        vec: dict[int, Fraction] = {}
-        after_q = products[q]
-        for s, drow in enumerate(d.diffs.get(i + t - 1, ())):
-            for path, coeff in drow[r].terms():
-                var = findex.get((i, s, col, after_q[path]))
-                if var is not None:
-                    add_entry(vec, var, coeff)
-        dc = c.diffs.get(i + t - 1)
-        for col0, entry in enumerate(dc[col] if dc else ()):
-            for path, coeff in entry.terms():
-                var = findex.get((i - 1, r, col0, products[path][q]))
-                if var is not None:
-                    add_entry(vec, var, coeff)
-        images.append(vec)
+    hvars = _hom_variables(c, d, -1)
+    images: list[dict[int, Fraction]] = [{} for _ in hvars]
+    for h, key, coeff in _hom_differential(c, d, -1, enumerate(hvars)):
+        var = findex.get(key)
+        if var is not None:
+            add_entry(images[h], var, coeff)
     return images
 
 
@@ -511,25 +510,21 @@ def _lift_vector(c: ProjComplex, d: ProjComplex, fvars, vec) -> ChainMap:
 def _map_vector(f: ChainMap, findex) -> dict[int, Fraction]:
     t = _lowest(f.source)
     vec: dict[int, Fraction] = {}
-    for i, mat in f.components.items():
-        for r, row in enumerate(mat):
-            for col, entry in enumerate(row):
-                for path, coeff in entry.terms():
-                    var = findex.get((i - t, r, col, path))
-                    if var is None:
-                        raise ValueError(
-                            f"component at degree {i} falls outside the hom variable grid"
-                        )
-                    add_entry(vec, var, coeff)
+    for coeff, key in _map_terms(f.components, t):
+        var = findex.get(key)
+        if var is None:
+            raise ValueError(f"component at degree {key[0] + t} falls outside the hom variable grid")
+        add_entry(vec, var, coeff)
     return vec
 
 
 class _QuotientCore:
     """What HomQuotient(C, D) shares with HomQuotient(C[k], D[k]): the variable
     grid and its index, the boundary echelon and, once asked for, the
-    dimension and the basis vectors; no chain maps."""
+    dimension and the basis vectors.  ``lifted`` holds the basis as chain
+    maps, with the source and target objects it was lifted for."""
 
-    __slots__ = ("vars", "index", "boundary", "dimension", "basis")
+    __slots__ = ("vars", "index", "boundary", "dimension", "basis", "lifted")
 
     def __init__(self, c: ProjComplex, d: ProjComplex) -> None:
         self.vars = _hom_variables(c, d, 0)
@@ -537,6 +532,7 @@ class _QuotientCore:
         self.boundary = SpanSolver(_homotopy_images(c, d, self.index) if self.vars else ())
         self.dimension = None if self.vars else 0
         self.basis = None
+        self.lifted = (None, None, [])
 
 
 class HomQuotient:
@@ -583,7 +579,7 @@ class HomQuotient:
             core.dimension = len(core.vars) - rank(eqs) - core.boundary.rank
         return core.dimension
 
-    @cached_property
+    @property
     def basis(self) -> list[ChainMap]:
         core = self._core
         if core.basis is None:
@@ -592,7 +588,11 @@ class HomQuotient:
             # the boundary and the kept cycles span every cycle: dimension-many are kept
             core.basis = [z for z in nullspace(eqs, len(core.vars)) if span.add_relation(z)]
             core.dimension = len(core.basis)
-        return [_lift_vector(self.source, self.target, core.vars, z) for z in core.basis]
+        source, target, maps = core.lifted
+        if source is not self.source or target is not self.target:
+            maps = [_lift_vector(self.source, self.target, core.vars, z) for z in core.basis]
+            core.lifted = (self.source, self.target, maps)
+        return list(maps)
 
     def contains(self, f: ChainMap) -> bool:
         """Whether the chain map f: C -> D is null-homotopic."""
@@ -895,7 +895,8 @@ def complex_to_obj(c: ProjComplex) -> dict:
 
 
 def complex_from_obj(obj: dict) -> ProjComplex:
-    """The complex stored in obj; ValueError on anything malformed."""
+    """The complex stored in obj, normalized as by ``make_complex``: a degree
+    that lists no summands is dropped.  ValueError on anything malformed."""
     if not isinstance(obj, dict):
         raise ValueError("malformed complex: expected a JSON object")
     version = obj.get("schema_version")
@@ -924,11 +925,10 @@ def complex_from_obj(obj: dict) -> ProjComplex:
             diffs[i] = tuple(mat)
     except (AttributeError, IndexError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed complex: {type(exc).__name__}: {exc}") from None
-    c = ProjComplex(spec, summands, diffs)
-    problem = validate_complex(c)
+    problem = validate_complex(ProjComplex(spec, summands, diffs))
     if problem is not None:
         raise ValueError(f"malformed complex: {problem}")
-    return c
+    return make_complex(spec, summands, diffs)
 
 
 def dumps_complex(c: ProjComplex) -> str:

@@ -50,8 +50,7 @@ from .complexes import (
     SCHEMA_VERSION,
     _unit_matrix,
     compose_chain_maps,
-    cone_inclusion,
-    cone_projection,
+    cone_maps,
     homotopy_factor,
     homotopy_inverse,
     make_chain_map,
@@ -499,7 +498,7 @@ def standard_triangle(spec: AlgebraSpec, v: GammaVertex) -> StandardTriangle:
 
     first = theta_hom(hom_f(spec, v, u))
     second = theta_hom(hom_f(spec, u, w))
-    inclusion = cone_inclusion(first)
+    inclusion, projection = cone_maps(first)
     fill_in = homotopy_factor(second, inclusion)
     if fill_in is None:
         raise TriangleCertificationError(f"no fill-in map onto the cone at {tuple(v)}")
@@ -509,7 +508,7 @@ def standard_triangle(spec: AlgebraSpec, v: GammaVertex) -> StandardTriangle:
     if inverse is None:
         raise TriangleCertificationError(f"fill-in map is not invertible at {tuple(v)}")
 
-    connecting = compose_chain_maps(cone_projection(first), fill_in)
+    connecting = compose_chain_maps(projection, fill_in)
     comparison = _suspension_comparison(spec, v)
     generators = []
     psi_index = 0

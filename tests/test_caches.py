@@ -1,4 +1,4 @@
-"""Per-process memos of the chain-level constructors, and the degree skips.
+"""Per-process memos of the chain-level constructors, and the chain-map squares.
 
 The path table, ``build_complex``, ``theta_hom``, the hom quotients
 and the rigidity window grids keep their results in memo tables
@@ -6,8 +6,10 @@ registered in ``algebra``; ``clear_caches`` empties them all.  A memoized object
 tests check that nothing changes one after it was stored, that a warm
 memo gives the same reports as a cold one, and that a fault toggled
 between two runs is not hidden by results of the first.  The last tests
-check that ``validate_chain_map``, which skips degrees where the map has
-no component on either side of the square, still finds every failure.
+check that ``validate_chain_map``, which applies the Hom differential to
+the map's own terms and so never multiplies out a square with no
+component on either side, still reports the lowest failing square, one
+degree below the only component or at it.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ def test_fault_after_clean_run_is_still_caught(capsys):
     assert json.loads(out)["ok"] is True
 
 
-# -- Degrees skipped by validate_chain_map ------------------------------------
+# -- Squares of validate_chain_map around a single component ------------------
 
 
 def _unit(vertex: int):

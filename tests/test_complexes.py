@@ -19,8 +19,7 @@ from kbproj.complexes import (
     ChainMap,
     add_chain_maps,
     compose_chain_maps,
-    cone_inclusion,
-    cone_projection,
+    cone_maps,
     direct_sum,
     dumps_complex,
     hom_space,
@@ -186,9 +185,10 @@ def test_cone_triangle_pieces_compose_to_zero(spec):
         for qt in quads:
             c, d = build_complex(spec, qs), build_complex(spec, qt)
             for f in hom_space(c, d).basis:
-                inc = cone_inclusion(f)
-                proj = cone_projection(f)
-                assert validate_complex(mapping_cone(f)) is None
+                inc, proj = cone_maps(f)
+                assert inc.target is proj.source
+                assert inc.target.key() == mapping_cone(f).key()
+                assert validate_complex(inc.target) is None
                 assert validate_chain_map(inc) is None
                 assert validate_chain_map(proj) is None
                 assert is_null_homotopic(compose_chain_maps(inc, f))
@@ -288,6 +288,28 @@ def test_loader_rejects_malformed_complexes(degrees, differentials, problem):
         f'{degrees}"differentials":{differentials}}}'
     )
     with pytest.raises(ValueError, match=problem):
+        loads_complex(text)
+
+
+def test_loader_drops_degrees_without_summands():
+    spec = AlgebraSpec(1, 0)
+    head = '{"schema_version":1,"algebra":[1,0],'
+    empty = loads_complex(head + '"degrees":{"0":[]},"differentials":{}}')
+    assert empty.is_zero()
+    assert empty.key() == zero_complex(spec).key()
+    # a stalk written with an empty degree above it, and a differential of no rows
+    stalk = loads_complex(head + '"degrees":{"0":[0],"1":[]},"differentials":{"0":[]}}')
+    assert stalk.summands == {0: (0,)}
+    assert stalk.key() == stalk_complex(spec, 0).key()
+    assert dumps_complex(stalk) == dumps_complex(stalk_complex(spec, 0))
+
+
+def test_loader_still_rejects_entries_into_an_empty_degree():
+    text = (
+        '{"schema_version":1,"algebra":[1,0],'
+        '"degrees":{"0":[0],"1":[]},"differentials":{"0":[[[[[0],1,1]]]]}}'
+    )
+    with pytest.raises(ValueError, match="malformed complex: degree 0: differential shape"):
         loads_complex(text)
 
 

@@ -1,13 +1,15 @@
 """Canonical reports pinned byte for byte, and the check counts of verify.
 
-The JSON files under ``golden/`` are the exact output of
+The files under ``golden/`` are the exact output of
 
     kbproj --algebra 2,1 verify --k 0:0 --l 1 --a 0:1 --b 0:1 --format json
     kbproj --algebra 2,1 rigidity-check --count 3 --seed 7 --format json
+    kbproj --algebra 2,1 ar-export --a -1:1 --b -1:1 --format dot
+    kbproj --algebra 2,1 ar-export --a -1:1 --b -1:1 --format json
 
-A refactor of the suites or of the conjugation check must reproduce them,
-and must keep the number of checks each suite of a default-window verify
-runs.
+A refactor of the suites, of the conjugation check or of the CLI output
+must reproduce them, and must keep the number of checks each suite of a
+default-window verify runs.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ def output(capsys, *argv) -> tuple[int, str]:
             ("--algebra", "2,1", "rigidity-check", "--count", "3", "--seed", "7",
              "--format", "json"),
             "rigidity_check_L21_seed7.json",
+        ),
+        (
+            ("--algebra", "2,1", "ar-export", "--a", "-1:1", "--b", "-1:1", "--format", "dot"),
+            "ar_export_L21_window.dot",
+        ),
+        (
+            ("--algebra", "2,1", "ar-export", "--a", "-1:1", "--b", "-1:1", "--format", "json"),
+            "ar_export_L21_window.json",
         ),
     ],
 )

@@ -24,7 +24,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ALGEBRA_PARAMS
-from kbproj import rigidity
+from kbproj import complexes, rigidity
 from kbproj.algebra import AlgebraSpec, PathCombination, hom_basis_proj
 from kbproj.complexes import (
     HomQuotient,
@@ -379,6 +379,7 @@ def test_common_shifts_share_one_core_and_answer_like_fresh_quotients(params):
                 assert [f.key() for f in view.basis] == [
                     shift_chain_map(f, k).key() for f in base.basis
                 ]
+                assert all(f.source is ck and f.target is dk for f in view.basis)
 
 
 @pytest.mark.parametrize("params", ALGEBRA_PARAMS, ids=ALGEBRA_IDS)
@@ -397,3 +398,23 @@ def test_relative_shifts_and_negated_targets_get_their_own_core(params):
                 assert_answers_like_fresh(view, c, other)
                 checked += 1
     assert checked > len(sources)
+
+
+def test_is_isomorphic_K_lifts_the_backward_basis_once(monkeypatch):
+    spec = AlgebraSpec(2, 1)
+    quads = enumerate_quadruples(spec, 0, 0, 1)
+    c, d = build_complex(spec, quads[3]), build_complex(spec, quads[5])
+    left, right = direct_sum(c, d), direct_sum(d, c)
+    tried, lifted = [], []
+    inverse, lift = complexes.homotopy_inverse, complexes._lift_vector
+    monkeypatch.setattr(complexes, "homotopy_inverse", lambda f: tried.append(f) or inverse(f))
+    monkeypatch.setattr(
+        complexes, "_lift_vector", lambda c, d, fvars, z: lifted.append((c, d)) or lift(c, d, fvars, z)
+    )
+    clear_caches()
+    assert is_isomorphic_K(left, right)
+    # every candidate solves on the basis of Hom(right, left); it is lifted for the first only
+    assert len(tried) >= 2
+    backward = [pair for pair in lifted if pair[0] is right and pair[1] is left]
+    assert len(backward) == hom_space_dimension(right, left) > 1
+    clear_caches()

@@ -14,7 +14,7 @@ from kbproj.complexes import (
     ProjComplex,
     add_chain_maps,
     compose_chain_maps,
-    cone_inclusion,
+    cone_maps,
     direct_sum,
     homotopy_factor,
     homotopy_inverse,
@@ -77,7 +77,7 @@ def test_a_split_inclusion_has_a_left_inverse_and_no_inverse(params):
     for c in built:
         for e in built:
             # e -> c (+) e, the inclusion of the second summand
-            f = cone_inclusion(zero_chain_map(shift(c, -1), e))
+            f = cone_maps(zero_chain_map(shift(c, -1), e))[0]
             assert f.target.key() == direct_sum(c, e).key()
             left = homotopy_factor(f, identity_chain_map(e))
             assert left is not None

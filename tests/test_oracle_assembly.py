@@ -4,7 +4,10 @@
 of a hom space by reading the per-algebra path table.  The reference
 versions below are the earlier ones, built on ``hom_basis_proj`` and
 ``algebra_product``; the two must agree exactly: same variable order,
-same equation rows, same image vectors.  The isomorphism search is
+same equation rows, same image vectors.  ``validate_chain_map`` and
+``validate_complex`` read the same Hom differential; they are checked
+against square-by-square ``mat_mul`` products, on basis maps, on complexes,
+and on each with one entry perturbed.  The isomorphism search is
 likewise compared with its earlier form, which rebuilt every linear
 system once per candidate, so that its witnesses stay the same.
 """
@@ -19,6 +22,8 @@ from conftest import ALGEBRA_PARAMS
 from kbproj.algebra import AlgebraSpec, PathCombination, algebra_product, hom_basis_proj
 from kbproj.basismaps import in_phi, in_psi, phi_map, psi_map
 from kbproj.complexes import (
+    ChainMap,
+    ProjComplex,
     _chain_equations,
     _hom_variables,
     _homotopy_images,
@@ -34,9 +39,14 @@ from kbproj.complexes import (
     make_chain_map,
     make_complex,
     mapping_cone,
+    mat_is_zero,
+    mat_mul,
+    mat_zero,
     scale_chain_map,
     shift,
     stalk_complex,
+    validate_chain_map,
+    validate_complex,
     zero_chain_map,
 )
 from kbproj.gamma import GammaVertex, is_vertex, suspend_vertex, theta_vertex
@@ -206,6 +216,71 @@ def test_hom_space_basis_matches_the_reference(params):
     for c in complexes:
         for d in complexes:
             assert [f.key() for f in hom_space(c, d).basis] == ref_hom_space_keys(c, d)
+
+
+def ref_failing_square(f):
+    """The lowest degree i where d_D f^i != f^(i+1) d_C^i, multiplying at every degree."""
+    spec = f.source.spec
+    degrees = set(f.source.summands) | set(f.target.summands)
+    for i in range(min(degrees, default=0), max(degrees, default=0) + 1):
+        lhs = mat_mul(spec, f.target.diff(i), f.component(i))
+        rhs = mat_mul(spec, f.component(i + 1), f.source.diff(i))
+        if lhs != rhs and not (mat_is_zero(lhs) and mat_is_zero(rhs)):
+            return i
+    return None
+
+
+def ref_failing_square_of_d(c):
+    """The lowest degree i where d^(i+1) d^i != 0."""
+    for i in c.degrees():
+        if not mat_is_zero(mat_mul(c.spec, c.diff(i + 1), c.diff(i))):
+            return i
+    return None
+
+
+def with_entry(mats, slot, coeff, shape):
+    """mats plus coeff times the path of slot (i, r, col, p) in its entry; shape(i) sizes a new matrix."""
+    i, r, col, p = slot
+    mat = [list(row) for row in mats.get(i) or mat_zero(*shape(i))]
+    mat[r][col] = mat[r][col] + PathCombination.of(p, coeff)
+    return {**mats, i: tuple(tuple(row) for row in mat)}
+
+
+@pytest.mark.parametrize("params", ALGEBRA_PARAMS, ids=lambda p: f"L({p[0]},{p[1]})")
+def test_validators_match_the_product_reference(params):
+    spec = AlgebraSpec(*params)
+    rng = random.Random(10 * params[0] + params[1])
+    complexes = sample_complexes(spec)
+    seen = set()  # (kind, whether it passes, whether the lowest degree of the source is 0)
+
+    def check_map(f):
+        expect = ref_failing_square(f)
+        message = None if expect is None else f"degree {expect}: does not commute with the differentials"
+        assert validate_chain_map(f) == message, f
+        seen.add(("map", expect is None, min(f.source.summands, default=0) == 0))
+
+    for c in complexes:
+        assert ref_failing_square_of_d(c) is None and validate_complex(c) is None
+        slots = ref_hom_variables(c, c, 1)[0]
+        if slots:
+            shape = lambda i: (len(c.summand(i + 1)), len(c.summand(i)))
+            coeff = rng.choice((1, -1, 2))
+            bad = ProjComplex(spec, c.summands, with_entry(c.diffs, rng.choice(slots), coeff, shape))
+            expect = ref_failing_square_of_d(bad)
+            message = None if expect is None else f"degree {expect}: differential does not square to zero"
+            assert validate_complex(bad) == message, bad
+            seen.add(("complex", expect is None, min(c.summands) == 0))
+        for d in complexes:
+            slots = ref_hom_variables(c, d, 0)[0]
+            shape = lambda i: (len(d.summand(i)), len(c.summand(i)))
+            for f in hom_space(c, d).basis:
+                check_map(f)
+                coeff = rng.choice((1, -1, 2))
+                check_map(ChainMap(c, d, with_entry(f.components, rng.choice(slots), coeff, shape)))
+    for kind in ("map", "complex"):
+        # passes, and fails where the lowest degree is not 0, so the reported degree adds it
+        assert {(kind, True), (kind, False)} <= {(k, passes) for k, passes, _ in seen}
+        assert (kind, False, False) in seen
 
 
 def ref_try_inverse(f):
