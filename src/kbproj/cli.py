@@ -117,7 +117,8 @@ def _parse_window(a_span: tuple[int, int], b_span: tuple[int, int]) -> Window:
 
 
 def _parse_point(spec: AlgebraSpec, text: str):
-    """A vertex (i,a,b) or a quadruple (k,u,l,v) from its printed form."""
+    """A vertex (i,a,b) or a quadruple (k,u,l,v) from its printed form, as
+    ``str(tuple(v))`` or ``quadruples.format_quadruple`` write it."""
     parts = text.strip().strip("()").split(",")
     try:
         numbers = [int(p.strip()) for p in parts]

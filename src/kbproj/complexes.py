@@ -140,16 +140,21 @@ def _lowest(c: ProjComplex) -> int:
 
 
 def make_complex(spec: AlgebraSpec, summands, diffs) -> ProjComplex:
-    """Normalize raw dicts into a ProjComplex (no validation)."""
+    """Normalize raw dicts into a ProjComplex (no validation).
+
+    Degrees without summands are dropped, and so is an all-zero
+    differential whose shape fits its two degrees, so a zero differential
+    written out or left out gives the same complex.  Any other matrix is
+    kept, for validation to report its shape.
+    """
     norm_s = {int(i): tuple(v) for i, v in summands.items() if len(tuple(v))}
     norm_d = {}
     for i, mat in diffs.items():
         i = int(i)
         mat = tuple(tuple(row) for row in mat)
-        if i in norm_s and i + 1 in norm_s:
-            norm_d[i] = mat
-        elif any(e for row in mat for e in row):
-            # keep it so validation can report the shape error
+        rows, cols = len(norm_s.get(i + 1, ())), len(norm_s.get(i, ()))
+        fits = len(mat) == rows and all(len(row) == cols for row in mat)
+        if not fits or any(e for row in mat for e in row):
             norm_d[i] = mat
     return ProjComplex(spec, norm_s, norm_d)
 

@@ -114,7 +114,8 @@ class GammaHom:
     invariant holds for the output whenever it holds for the inputs:
 
     - ``gamma_compose`` keeps the outer endpoints of two valid, composable
-      morphisms and sets each coefficient only after testing its cone;
+      morphisms, sets each coefficient only after testing its cone, and
+      turns the kernel's int 0 back into ``Fraction(0)``;
     - ``invert_hom`` keeps the endpoints, and each inverse coefficient is
       nonzero only where the input coefficient was;
     - ``hom_add`` (same algebra and endpoints) and ``hom_scale`` (after
@@ -124,7 +125,9 @@ class GammaHom:
       ``rigidity.generator_keys``, which listed the key only after
       checking its vertices and its cone;
     - ``rigidity.conjugation_data`` builds each key's image with
-      ``compose_coeffs``, which sets a coefficient only under its cone flag.
+      ``compose_coeffs`` on the ``scaled`` int numerators, which sets a
+      coefficient only under its cone flag, and turns each numerator and
+      denominator into a reduced Fraction (zero as ``Fraction(0)``).
     """
 
     spec: AlgebraSpec
@@ -203,25 +206,40 @@ def hom_scale(h: GammaHom, coeff) -> GammaHom:
     return _trusted_hom(h.spec, h.source, h.target, c * h.f_coeff, c * h.g_coeff)
 
 
-def compose_coeffs(f2, g2, f1, g1, in_f: bool, in_g: bool) -> tuple[Fraction, Fraction]:
+def compose_coeffs(f2, g2, f1, g1, in_f: bool, in_g: bool):
     """Coefficients (f, g) of ``(f2 f + g2 g) after (f1 f + g1 g)``.
 
     f.f lands on f when the outer endpoints' cone outcome ``in_f`` holds,
     the mixed products land on g when ``in_g`` holds, and g.g is zero.
     A factor equal to 1 is not multiplied; the other one is copied.
 
+    The kernel uses only ``*``, ``+``, truthiness and ``== 1``, and a
+    coefficient with nothing landing on it is the int 0, so it runs
+    unchanged over any ring that has them: ``gamma_compose`` calls it on
+    ``Fraction`` coefficients, and the conjugation sweeps of ``rigidity``
+    on the int numerators of ``scaled``.  Composition is bilinear, so the
+    result on numerators over D1 and D2 is the true result times D1 * D2.
+
     >>> two, three = Fraction(2), Fraction(3)
     >>> compose_coeffs(_ZERO, two, _ZERO, three, True, True)
-    (Fraction(0, 1), Fraction(0, 1))
+    (0, 0)
     >>> compose_coeffs(two, _ZERO, _ZERO, three, True, False)
-    (Fraction(0, 1), Fraction(0, 1))
+    (0, 0)
     >>> compose_coeffs(two, _ZERO, _ONE, three, True, True)
     (Fraction(2, 1), Fraction(6, 1))
+    >>> compose_coeffs(Fraction(1, 2), _ZERO, Fraction(2, 3), Fraction(1, 3), True, True)
+    (Fraction(1, 3), Fraction(1, 6))
+
+    The same composite on ``scaled`` numerators, 1/2 f over D = 2 and
+    2/3 f + 1/3 g over D = 3, is the one above times 2 * 3:
+
+    >>> compose_coeffs(1, 0, 2, 1, True, True)
+    (2, 1)
     """
-    f = _ZERO
+    f = 0
     if in_f and f1 and f2:
         f = f2 if f1 == 1 else f1 if f2 == 1 else f1 * f2
-    g = _ZERO
+    g = 0
     if in_g:
         if f1 and g2:
             g = g2 if f1 == 1 else f1 if g2 == 1 else f1 * g2
@@ -229,6 +247,23 @@ def compose_coeffs(f2, g2, f1, g1, in_f: bool, in_g: bool) -> tuple[Fraction, Fr
             term = g1 if f2 == 1 else f2 if g1 == 1 else g1 * f2
             g = g + term if g else term
     return f, g
+
+
+def scaled(h: GammaHom) -> tuple[int, int, int]:
+    """Ints (F, G, D) with F/D = f_coeff, G/D = g_coeff and D > 0, D the lcm of the denominators.
+
+    Reads the ``Fraction`` slots directly: the ``numerator`` and
+    ``denominator`` properties are Python-level calls.
+
+    >>> scaled(GammaHom(AlgebraSpec(1, 0), (0, 0, 0), (0, 0, 0), Fraction(-1, 2), Fraction(1, 3)))
+    (-3, 2, 6)
+    """
+    f, g = h.f_coeff, h.g_coeff
+    df, dg = f._denominator, g._denominator
+    if df == dg:
+        return f._numerator, g._numerator, df
+    d = math.lcm(df, dg)
+    return f._numerator * (d // df), g._numerator * (d // dg), d
 
 
 def gamma_compose(second: GammaHom, first: GammaHom) -> GammaHom:
@@ -243,7 +278,7 @@ def gamma_compose(second: GammaHom, first: GammaHom) -> GammaHom:
     in_f = bool(f1 and f2) and _in_F(spec, source, target)
     in_g = bool(f1 and g2 or g1 and f2) and _in_G(spec, source, target)
     f_coeff, g_coeff = compose_coeffs(f2, g2, f1, g1, in_f, in_g)
-    return _trusted_hom(spec, source, target, f_coeff, g_coeff)
+    return _trusted_hom(spec, source, target, f_coeff or _ZERO, g_coeff or _ZERO)
 
 
 def is_isomorphism(h: GammaHom) -> bool:

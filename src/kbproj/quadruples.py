@@ -254,11 +254,3 @@ def enumerate_strings(
 
 def format_quadruple(q: Quadruple) -> str:
     return f"({q.k},{q.u},{q.l},{q.v})"
-
-
-def parse_quadruple(text: str) -> Quadruple:
-    parts = text.strip().strip("()").split(",")
-    if len(parts) != 4:
-        raise ValueError(f"expected (k,u,l,v), got {text!r}")
-    k, u, l, v = (int(p.strip()) for p in parts)
-    return Quadruple(k, u, l, v)

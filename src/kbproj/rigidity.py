@@ -77,6 +77,7 @@ from .gamma import (
     is_isomorphism,
     is_shifted_projective,
     is_vertex,
+    scaled,
     suspend_hom,
     suspend_vertex,
     theta_hom,
@@ -155,14 +156,23 @@ def generator_table(spec: AlgebraSpec, vertices: tuple[GammaVertex, ...]) -> dic
             for key in generator_keys(spec, vertices)}
 
 
-# Coefficients (f, g) of the generator of each kind.
-_GENERATOR_COEFFS = {"f": (_ONE, _ZERO), "g": (_ZERO, _ONE)}
+# Coefficients (f, g) of the generator of each kind, as ints over the denominator 1.
+_GENERATOR_COEFFS = {"f": (1, 0), "g": (0, 1)}
 
 
 def _generator_hom(spec: AlgebraSpec, key: tuple[str, GammaVertex, GammaVertex]) -> GammaHom:
     """The generator named by a key of generator_keys, which already checked its cone."""
     kind, source, target = key
-    return _trusted_hom(spec, source, target, *_GENERATOR_COEFFS[kind])
+    f_coeff, g_coeff = (_ONE, _ZERO) if kind == "f" else (_ZERO, _ONE)
+    return _trusted_hom(spec, source, target, f_coeff, g_coeff)
+
+
+class _ReducedFractions(dict):
+    """(numerator, denominator) -> the reduced Fraction, built on first lookup."""
+
+    def __missing__(self, key: tuple[int, int]) -> Fraction:
+        value = self[key] = Fraction(*key)
+        return value
 
 
 # -- Pseudo-identity data ------------------------------------------------------
@@ -191,7 +201,11 @@ class PseudoIdentityData:
                 raise ValueError(f"unexpected image key {kind} {tuple(source)} -> {tuple(target)}")
             if key in index:
                 raise ValueError(f"duplicate image key {kind} {tuple(source)} -> {tuple(target)}")
-            if hom.spec != self.spec or hom.source != source or hom.target != target:
+            if (
+                hom.spec is not self.spec and hom.spec != self.spec
+                or hom.source != source
+                or hom.target != target
+            ):
                 raise ValueError(f"image of {kind} {tuple(source)} -> {tuple(target)} moves endpoints")
             index[key] = hom
         if len(index) < len(expected):
@@ -218,19 +232,28 @@ def conjugation_data(
     """The functor h |-> psi_target o h o psi_source^(-1) for a unit family psi.
 
     Valid pseudo-identity data as soon as the family is the identity on
-    every shifted-projective vertex.
+    every shifted-projective vertex.  Each image is composed on the
+    ``scaled`` int numerators of the two family entries, over the product
+    of their denominators, and each distinct value is reduced to a
+    Fraction once per call.
     """
     domain = conjugation_domain(spec, window)
     inverses = {v: invert_hom(unit_family[v]) for v in domain}
     if any(inverses[v].spec != spec or inverses[v].source != v for v in domain):
         raise ValueError("the unit family has an entry that is not an automorphism of its vertex")
+    inverses = {v: scaled(h) for v, h in inverses.items()}
+    units = {v: scaled(unit_family[v]) for v in domain}
+    reduced = _ReducedFractions()
     images = []
     for key, (in_f, in_g) in generator_table(spec, domain).items():
         kind, source, target = key
-        inverse, unit = inverses[source], unit_family[target]
-        f, g = compose_coeffs(*_GENERATOR_COEFFS[kind], inverse.f_coeff, inverse.g_coeff, in_f, in_g)
-        f, g = compose_coeffs(unit.f_coeff, unit.g_coeff, f, g, in_f, in_g)
-        images.append((key, _trusted_hom(spec, source, target, f, g)))
+        fi, gi, di = inverses[source]
+        fu, gu, du = units[target]
+        f, g = _GENERATOR_COEFFS[kind]
+        f, g = compose_coeffs(f, g, fi, gi, in_f, in_g)
+        f, g = compose_coeffs(fu, gu, f, g, in_f, in_g)
+        d = du * di
+        images.append((key, _trusted_hom(spec, source, target, reduced[f, d], reduced[g, d])))
     return PseudoIdentityData(spec, window, tuple(images))
 
 
@@ -271,31 +294,41 @@ def validate_pseudo_identity(F: PseudoIdentityData) -> list[str]:
     and that the images respect composition on every composable pair of
     window generators.  The composite of two generators is one generator
     or zero, so each pair compares F of it with the product of the images.
+    Images are read once each as ``scaled`` ints, and two sides are
+    compared by cross-multiplying their denominators.
     """
     spec = F.spec
     problems = []
     keys = generator_table(spec, F.vertices())
-    image = F._index
+    image = {key: scaled(h) for key, h in F._index.items()}
     projective = {v for v in F.vertices() if is_shifted_projective(spec, v) is not None}
     outgoing: dict[GammaVertex, list[tuple[str, GammaVertex, GammaVertex]]] = {}
     for key in keys:
         outgoing.setdefault(key[1], []).append(key)
         kind, source, target = key
-        if source in projective and target in projective and image[key] != _generator_hom(spec, key):
-            problems.append(
-                f"{kind} {tuple(source)} -> {tuple(target)} between shifted projectives is moved"
-            )
+        if source in projective and target in projective:
+            f, g, d = image[key]
+            gen_f, gen_g = _GENERATOR_COEFFS[kind]
+            if f != gen_f * d or g != gen_g * d:
+                problems.append(
+                    f"{kind} {tuple(source)} -> {tuple(target)} between shifted projectives is moved"
+                )
+    # the cone outcomes of each pair of endpoints that some generator joins
+    cones = {(source, target): flags for (_, source, target), flags in keys.items()}
     for first_key in keys:
         kind1, source, middle = first_key
-        fh1 = image[first_key]
+        f1, g1, d1 = image[first_key]
         for second_key in outgoing.get(middle, ()):
             kind2, _, target = second_key
-            fh2 = image[second_key]
-            in_f, in_g = ("f", source, target) in keys, ("g", source, target) in keys
-            rhs = compose_coeffs(fh2.f_coeff, fh2.g_coeff, fh1.f_coeff, fh1.g_coeff, in_f, in_g)
+            cone = cones.get((source, target))
+            if cone is None:
+                continue  # no generator joins source to target: both sides are zero
+            f2, g2, d2 = image[second_key]
+            rf, rg = compose_coeffs(f2, g2, f1, g1, *cone)
             kind = "f" if kind1 == kind2 == "f" else "g" if kind1 != kind2 else None
-            lhs = image.get((kind, source, target))
-            if rhs != ((lhs.f_coeff, lhs.g_coeff) if lhs is not None else (_ZERO, _ZERO)):
+            lf, lg, dl = image.get((kind, source, target), (0, 0, 1))
+            d = d1 * d2
+            if rf * dl != lf * d or rg * dl != lg * d:
                 problems.append(
                     f"composition broken: {kind2} after {kind1} from "
                     f"{tuple(source)} via {tuple(middle)} to {tuple(target)}"
@@ -352,7 +385,8 @@ def _seed_left(F: PseudoIdentityData, phi: dict, source: GammaVertex, target: Ga
         candidate = GammaHom(F.spec, target, target, 1 / lam, -mu / lam**2)
     except ValueError as exc:
         raise InvalidPseudoIdentity(str(exc)) from exc
-    if gamma_compose(candidate, y) != hom_f(F.spec, source, target):
+    composite = gamma_compose(candidate, y)
+    if (composite.f_coeff, composite.g_coeff) != (1, 0):
         raise InvalidPseudoIdentity(
             f"seed solve failed at {tuple(target)} (image of f {tuple(source)} -> {tuple(target)})"
         )
@@ -370,7 +404,8 @@ def _seed_right(F: PseudoIdentityData, phi: dict, source: GammaVertex, target: G
         candidate = GammaHom(F.spec, source, source, z.f_coeff, z.g_coeff)
     except ValueError as exc:
         raise InvalidPseudoIdentity(str(exc)) from exc
-    if gamma_compose(z, invert_hom(candidate)) != hom_f(F.spec, source, target):
+    composite = gamma_compose(z, invert_hom(candidate))
+    if (composite.f_coeff, composite.g_coeff) != (1, 0):
         raise InvalidPseudoIdentity(
             f"seed solve failed at {tuple(source)} (image of f {tuple(source)} -> {tuple(target)})"
         )
@@ -429,6 +464,9 @@ def verify_naturality(
 ) -> NaturalityCounterexample | None:
     """First generator with phi_U o F(h) != h o phi_V, or None when natural.
 
+    Both sides are composed on ``scaled`` ints, each family entry scaled
+    once, and compared by cross-multiplying their denominators; the
+    counterexample is composed with ``gamma_compose``.
     ValueError when phi is over another algebra or misses a data vertex.
     """
     spec = F.spec
@@ -438,12 +476,17 @@ def verify_naturality(
     for v in F.vertices():
         if v not in family:
             raise ValueError(f"family has no automorphism at {tuple(v)}")
+    entries = {v: scaled(family[v]) for v in F.vertices()}
     for key, (in_f, in_g) in generator_table(spec, F.vertices()).items():
         kind, source, target = key
-        image, before, after = F._index[key], family[source], family[target]
-        lhs = compose_coeffs(after.f_coeff, after.g_coeff, image.f_coeff, image.g_coeff, in_f, in_g)
-        rhs = compose_coeffs(*_GENERATOR_COEFFS[kind], before.f_coeff, before.g_coeff, in_f, in_g)
-        if lhs != rhs:
+        fi, gi, di = scaled(F._index[key])
+        fa, ga, da = entries[target]
+        fb, gb, db = entries[source]
+        lf, lg = compose_coeffs(fa, ga, fi, gi, in_f, in_g)
+        rf, rg = compose_coeffs(*_GENERATOR_COEFFS[kind], fb, gb, in_f, in_g)
+        d = da * di
+        if lf * db != rf * d or lg * db != rg * d:
+            image, before, after = F._index[key], family[source], family[target]
             lhs, rhs = gamma_compose(after, image), gamma_compose(_generator_hom(spec, key), before)
             return NaturalityCounterexample(kind, source, target, lhs, rhs)
     return None
@@ -668,10 +711,12 @@ def build_eta(spec: AlgebraSpec, omega: ConnectingIsoData) -> AutomorphismFamily
 
     for vertex in domain:
         build(vertex)
+    entries = {v: scaled(h) for v, h in eta.items()}
     for (kind, source, target), (in_f, in_g) in generator_table(spec, domain).items():
-        h, before, after = _GENERATOR_COEFFS[kind], eta[source], eta[target]
-        lhs = compose_coeffs(after.f_coeff, after.g_coeff, *h, in_f, in_g)
-        if lhs != compose_coeffs(*h, before.f_coeff, before.g_coeff, in_f, in_g):
+        h, (fb, gb, db), (fa, ga, da) = _GENERATOR_COEFFS[kind], entries[source], entries[target]
+        lf, lg = compose_coeffs(fa, ga, *h, in_f, in_g)
+        rf, rg = compose_coeffs(*h, fb, gb, in_f, in_g)
+        if lf * db != rf * da or lg * db != rg * da:
             raise ValueError(f"eta is not natural at {kind} {tuple(source)} -> {tuple(target)}")
     for vertex in domain:
         sv = suspend_vertex(spec, vertex)

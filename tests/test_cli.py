@@ -9,7 +9,10 @@ import pytest
 
 from conftest import fault
 from kbproj import cli
+from kbproj.algebra import AlgebraSpec
 from kbproj.cli import main
+from kbproj.gamma import GammaVertex
+from kbproj.quadruples import Quadruple, enumerate_quadruples, format_quadruple
 from kbproj.rigidity import InvalidPseudoIdentity, construct_conjugation, identity_data
 
 
@@ -59,6 +62,32 @@ def test_hom_rejects_mixed_modes(capsys):
     )
     assert code == 2
     assert "both" in err
+
+
+@pytest.mark.parametrize(
+    "source, target, message",
+    [
+        ("(0,0)", "(0,0,0)", "expected (i,a,b) or (k,u,l,v), got '(0,0)'"),
+        ("(0,0,0)", "(1,2,3,4,5)", "expected (i,a,b) or (k,u,l,v), got '(1,2,3,4,5)'"),
+        ("(0,x,0)", "(0,0,0)", "cannot parse '(0,x,0)' as a vertex or quadruple"),
+        ("", "(0,0,0)", "cannot parse '' as a vertex or quadruple"),
+        ("(0,0,0)", "(0,1,0)", "'(0,1,0)' is not a vertex of the grid"),
+        ("(0,0,0,5)", "(0,0,0,0)", "'(0,0,0,5)' is not in the indexing family"),
+        ("(0,0,0)", "(0,0,0,0)", "--from and --to must both be vertices or both be quadruples"),
+    ],
+)
+def test_hom_point_errors_are_pinned(capsys, source, target, message):
+    code, out, err = run(capsys, "--algebra", "1,0", "hom", "--from", source, "--to", target)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_point_parser_reads_printed_points():
+    spec = AlgebraSpec(2, 1)
+    for q in enumerate_quadruples(spec, -1, 1, 2)[:8]:
+        assert cli._parse_point(spec, format_quadruple(q)) == q
+    q = Quadruple(-1, 0, 1, 1)
+    assert cli._parse_point(spec, " ( -1, 0 , 1, 1 ) ") == q
+    assert cli._parse_point(spec, str(tuple(GammaVertex(1, 0, 0)))) == GammaVertex(1, 0, 0)
 
 
 def test_bad_algebra_parameter(capsys):

@@ -34,6 +34,7 @@ from kbproj.complexes import (
     make_complex,
     mapping_cone,
     minimal_model,
+    quotient,
     scale_chain_map,
     shift,
     shift_chain_map,
@@ -302,6 +303,30 @@ def test_loader_drops_degrees_without_summands():
     assert stalk.summands == {0: (0,)}
     assert stalk.key() == stalk_complex(spec, 0).key()
     assert dumps_complex(stalk) == dumps_complex(stalk_complex(spec, 0))
+
+
+def test_a_zero_differential_written_out_is_dropped():
+    spec = AlgebraSpec(1, 0)
+    summands = {0: (0,), 1: (0,)}
+    zero = PathCombination.zero()
+    bare = make_complex(spec, summands, {})
+    written = make_complex(spec, summands, {0: ((zero,),)})
+    assert written.diffs == {}
+    assert written.key() == bare.key()
+    assert quotient(written, written)._core is quotient(bare, bare)._core
+    head = '{"schema_version":1,"algebra":[1,0],"degrees":{"0":[0],"1":[0]},'
+    loaded = loads_complex(head + '"differentials":{"0":[[[]]]}}')
+    assert dumps_complex(loaded) == dumps_complex(loads_complex(head + '"differentials":{}}'))
+    assert dumps_complex(loaded) == dumps_complex(bare)
+
+
+def test_a_misshaped_zero_differential_is_kept():
+    spec = AlgebraSpec(1, 0)
+    zero = PathCombination.zero()
+    for summands in ({0: (0,), 1: (0,)}, {0: (0,)}):
+        c = make_complex(spec, summands, {0: ((zero, zero),)})
+        assert c.diffs == {0: ((zero, zero),)}
+        assert validate_complex(c) == "degree 0: differential shape does not match summands"
 
 
 def test_loader_still_rejects_entries_into_an_empty_degree():

@@ -1,8 +1,10 @@
 """The coefficient sweeps of ``rigidity`` against the morphism-level ones.
 
 ``conjugation_data``, ``validate_pseudo_identity``, ``verify_naturality``
-and the naturality loop of ``build_eta`` work on (f, g) coefficient pairs
-through ``gamma.compose_coeffs`` and the per-window ``generator_table``.
+and the naturality loop of ``build_eta`` work on the int triples
+``gamma.scaled(h) = (F, G, D)`` through ``gamma.compose_coeffs`` and the
+per-window ``generator_table``, and compare two sides by cross-multiplying
+their denominators.
 The reference versions below build every composite as a morphism,
 with a composition written out here (not ``gamma_compose``, which now
 calls the kernel) and the linear extension of the images.  Each test

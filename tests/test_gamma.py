@@ -24,6 +24,7 @@ from kbproj.complexes import (
 from kbproj.gamma import (
     GammaHom,
     GammaVertex,
+    compose_coeffs,
     gamma_compose,
     gamma_hom_dim,
     hom_add,
@@ -41,6 +42,7 @@ from kbproj.gamma import (
     is_vertex,
     projective_vertex,
     radical_degree,
+    scaled,
     suspend_hom,
     suspend_vertex,
     theta_hom,
@@ -307,6 +309,31 @@ def test_composition_is_bilinear_and_associative(data):
         gamma_compose(h2, h1), gamma_compose(h2b, h1)
     )
     assert gamma_compose(hom_scale(h2, t), h1) == hom_scale(gamma_compose(h2, h1), t)
+
+
+kernel_coeffs = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@settings(max_examples=300)
+@given(
+    f2=kernel_coeffs, g2=kernel_coeffs, f1=kernel_coeffs, g1=kernel_coeffs,
+    in_f=st.booleans(), in_g=st.booleans(),
+)
+def test_kernel_on_scaled_ints_matches_fractions(f2, g2, f1, g1, in_f, in_g):
+    spec, v = AlgebraSpec(1, 0), GammaVertex(0, 0, 0)  # f and g both live on v -> v
+    second, first = GammaHom(spec, v, v, f2, g2), GammaHom(spec, v, v, f1, g1)
+    for h in (second, first):
+        f, g, d = scaled(h)
+        assert type(f) is type(g) is type(d) is int and d > 0
+        assert (Fraction(f, d), Fraction(g, d)) == (h.f_coeff, h.g_coeff)
+    (sf2, sg2, d2), (sf1, sg1, d1) = scaled(second), scaled(first)
+    f, g = compose_coeffs(sf2, sg2, sf1, sg1, in_f, in_g)
+    assert type(f) is type(g) is int
+    expected = compose_coeffs(f2, g2, f1, g1, in_f, in_g)
+    assert (Fraction(f, d1 * d2), Fraction(g, d1 * d2)) == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,9 +22,7 @@ from kbproj.quadruples import (
     build_complex,
     enumerate_quadruples,
     enumerate_strings,
-    format_quadruple,
     in_calC,
-    parse_quadruple,
     string_to_quadruple,
     suspend_quadruple,
     validate_string,
@@ -166,14 +164,6 @@ def test_string_round_trip_is_bijective(spec):
     images = [string_to_quadruple(spec, k, t) for k, t in enumerate_strings(spec, -2, 2, 3)]
     assert len(set(images)) == len(images)
     assert sorted(images) == sorted(quads)
-
-
-def test_format_parse_round_trip():
-    q = Quadruple(-2, 1, 3, -1)
-    assert parse_quadruple(format_quadruple(q)) == q
-    assert parse_quadruple(" ( -2, 1 , 3, -1 ) ") == q
-    with pytest.raises(ValueError):
-        parse_quadruple("(1,2,3)")
 
 
 @settings(max_examples=60)

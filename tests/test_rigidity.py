@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import fractions
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -281,6 +283,36 @@ def test_random_conjugation_property(seed):
     data = random_pseudo_identity(spec, (-1, 1, -1, 1), seed)
     family = construct_conjugation(data)
     assert verify_naturality(family, data) is None
+
+
+def _fraction_calls(fn, *args):
+    """fn(*args) and the names of the functions of ``fractions`` it called, via sys.setprofile."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_naturality_and_validation_sweeps_make_no_fraction_calls():
+    spec = AlgebraSpec(3, 2)
+    data = random_pseudo_identity(spec, WINDOW, 7)
+    family = construct_conjugation(data)
+    assert any(h.f_coeff.denominator > 1 for _, h in family.homs)
+    assert verify_naturality(family, data) is None
+    assert _fraction_calls(verify_naturality, family, data) == (None, [])
+    assert _fraction_calls(validate_pseudo_identity, data) == ([], [])
+    # the hook does see Fraction arithmetic
+    h = family.homs[-1][1]
+    _, calls = _fraction_calls(gamma_compose, h, h)
+    assert calls
 
 
 def test_naturality_rejects_a_family_that_misses_data_vertices():
