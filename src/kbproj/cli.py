@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .algebra import AlgebraSpec
@@ -118,12 +119,16 @@ def _parse_window(a_span: tuple[int, int], b_span: tuple[int, int]) -> Window:
 
 def _parse_point(spec: AlgebraSpec, text: str):
     """A vertex (i,a,b) or a quadruple (k,u,l,v) from its printed form, as
-    ``str(tuple(v))`` or ``quadruples.format_quadruple`` write it."""
-    parts = text.strip().strip("()").split(",")
-    try:
-        numbers = [int(p.strip()) for p in parts]
-    except ValueError:
-        raise UsageError(f"cannot parse {text!r} as a vertex or quadruple") from None
+    ``str(tuple(v))`` or ``quadruples.format_quadruple`` write it: integers
+    of ASCII digits with an optional sign, separated by commas, optionally
+    in one pair of parentheses, with whitespace around any part."""
+    body = text.strip()
+    if body[:1] == "(" and body[-1:] == ")":
+        body = body[1:-1]
+    parts = body.split(",")
+    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", p) for p in parts):
+        raise UsageError(f"cannot parse {text!r} as a vertex or quadruple")
+    numbers = [int(p) for p in parts]
     if len(numbers) == 3:
         v = GammaVertex(*numbers)
         if not is_vertex(spec, v):

@@ -337,26 +337,18 @@ def unsuspend_vertex(spec: AlgebraSpec, v: GammaVertex) -> GammaVertex:
     return GammaVertex(j, a - 1 - _delta_last(spec, j), b - 1 - _delta_top(spec, j))
 
 
-def suspend_hom(h: GammaHom) -> GammaHom:
+def _moved(h: GammaHom, move) -> GammaHom:
+    """``h`` with both endpoints moved by ``move``; the constructor checks the cones again."""
     spec = h.spec
-    return GammaHom(
-        spec,
-        suspend_vertex(spec, h.source),
-        suspend_vertex(spec, h.target),
-        h.f_coeff,
-        h.g_coeff,
-    )
+    return GammaHom(spec, move(spec, h.source), move(spec, h.target), h.f_coeff, h.g_coeff)
+
+
+def suspend_hom(h: GammaHom) -> GammaHom:
+    return _moved(h, suspend_vertex)
 
 
 def unsuspend_hom(h: GammaHom) -> GammaHom:
-    spec = h.spec
-    return GammaHom(
-        spec,
-        unsuspend_vertex(spec, h.source),
-        unsuspend_vertex(spec, h.target),
-        h.f_coeff,
-        h.g_coeff,
-    )
+    return _moved(h, unsuspend_vertex)
 
 
 def projective_vertex(spec: AlgebraSpec, j: int) -> GammaVertex:

@@ -26,9 +26,9 @@ Claims made by this module:
 
 - construct_conjugation applied to identity data returns the identity
   family exactly, coefficient for coefficient.
-- The two seed solves implement the closed forms: a left seed with
-  image lam*f + mu*g' yields (1/lam) * id - (mu/lam^2) * g', and a
-  right seed yields lam * id + mu * g'.
+- The one seed solve implements both closed forms: a left seed with
+  image lam*f + mu*g' yields (1/lam) * id - (mu/lam^2) * g', the inverse
+  of lam * id + mu * g', and a right seed yields lam * id + mu * g'.
 - standard_triangle only reports nu after the cone certificate holds
   both ways up to homotopy; any nonzero nu is accepted.
 - build_eta verifies naturality on all window generators (isomorphisms
@@ -134,26 +134,24 @@ def conjugation_domain(spec: AlgebraSpec, window: Window) -> tuple[GammaVertex, 
 @memoized("rigidity.generator_keys")
 def generator_keys(
     spec: AlgebraSpec, vertices: tuple[GammaVertex, ...]
-) -> tuple[tuple[str, GammaVertex, GammaVertex], ...]:
-    """Every basis morphism between window vertices, as (kind, source, target)."""
+) -> dict[tuple[str, GammaVertex, GammaVertex], tuple[bool, bool]]:
+    """Every basis morphism between window vertices, as (kind, source, target), in order.
+
+    Each key maps to its endpoints' cone outcomes (in_F, in_G); the dict is
+    shared by every caller, so do not mutate it.
+    """
     vset = sorted(vertices)
     for v in vset:
         check_vertex(spec, v)
-    out = []
+    out = {}
     for source in vset:
         for target in vset:
-            if _in_F(spec, source, target):
-                out.append(("f", source, target))
-            if _in_G(spec, source, target):
-                out.append(("g", source, target))
-    return tuple(out)
-
-
-@memoized("rigidity.generator_table")
-def generator_table(spec: AlgebraSpec, vertices: tuple[GammaVertex, ...]) -> dict:
-    """Each key of generator_keys, in order, mapped to its endpoints' (in_F, in_G); do not mutate."""
-    return {key: (_in_F(spec, key[1], key[2]), _in_G(spec, key[1], key[2]))
-            for key in generator_keys(spec, vertices)}
+            cones = (_in_F(spec, source, target), _in_G(spec, source, target))
+            if cones[0]:
+                out["f", source, target] = cones
+            if cones[1]:
+                out["g", source, target] = cones
+    return out
 
 
 # Coefficients (f, g) of the generator of each kind, as ints over the denominator 1.
@@ -193,7 +191,7 @@ class PseudoIdentityData:
 
     def __post_init__(self):
         domain = conjugation_domain(self.spec, self.window)
-        expected = generator_table(self.spec, domain)
+        expected = generator_keys(self.spec, domain)
         index = {}
         for key, hom in self.images:
             kind, source, target = key
@@ -245,7 +243,7 @@ def conjugation_data(
     units = {v: scaled(unit_family[v]) for v in domain}
     reduced = _ReducedFractions()
     images = []
-    for key, (in_f, in_g) in generator_table(spec, domain).items():
+    for key, (in_f, in_g) in generator_keys(spec, domain).items():
         kind, source, target = key
         fi, gi, di = inverses[source]
         fu, gu, du = units[target]
@@ -299,7 +297,7 @@ def validate_pseudo_identity(F: PseudoIdentityData) -> list[str]:
     """
     spec = F.spec
     problems = []
-    keys = generator_table(spec, F.vertices())
+    keys = generator_keys(spec, F.vertices())
     image = {key: scaled(h) for key, h in F._index.items()}
     projective = {v for v in F.vertices() if is_shifted_projective(spec, v) is not None}
     outgoing: dict[GammaVertex, list[tuple[str, GammaVertex, GammaVertex]]] = {}
@@ -373,43 +371,37 @@ def identity_family(spec: AlgebraSpec, vertices: tuple[GammaVertex, ...]) -> Aut
     return AutomorphismFamily(spec, tuple((v, identity_hom(spec, v)) for v in sorted(vertices)))
 
 
-def _seed_left(F: PseudoIdentityData, phi: dict, source: GammaVertex, target: GammaVertex) -> GammaHom:
-    """Solve phi_target o F(f) o phi_source^(-1) = f for the f generator source -> target."""
-    y = gamma_compose(F.image("f", source, target), invert_hom(phi[source]))
+def _seed(
+    F: PseudoIdentityData, phi: dict, source: GammaVertex, target: GammaVertex, left: bool
+) -> GammaHom:
+    """Solve phi_target o F(f) o phi_source^(-1) = f for the f generator source -> target.
+
+    The unknown automorphism sits at the target when ``left`` holds and at
+    the source otherwise.  The known side gives y = lam*f + mu*g':
+    F(f) o phi_source^(-1) (left) or phi_target o F(f) (right), and the
+    solution is lam * id + mu * g', inverted in the left case.
+    """
+    at = target if left else source
+    image = F.image("f", source, target)
+    if left:
+        y = gamma_compose(image, invert_hom(phi[source]))
+    else:
+        y = gamma_compose(phi[target], image)
     if y.f_coeff == 0:
         raise InvalidPseudoIdentity(
             f"image of f {tuple(source)} -> {tuple(target)} lost its leading part"
         )
-    lam, mu = y.f_coeff, y.g_coeff
     try:
-        candidate = GammaHom(F.spec, target, target, 1 / lam, -mu / lam**2)
+        candidate = GammaHom(F.spec, at, at, y.f_coeff, y.g_coeff)
     except ValueError as exc:
         raise InvalidPseudoIdentity(str(exc)) from exc
-    composite = gamma_compose(candidate, y)
+    inverse = invert_hom(candidate)
+    composite = gamma_compose(inverse, y) if left else gamma_compose(y, inverse)
     if (composite.f_coeff, composite.g_coeff) != (1, 0):
         raise InvalidPseudoIdentity(
-            f"seed solve failed at {tuple(target)} (image of f {tuple(source)} -> {tuple(target)})"
+            f"seed solve failed at {tuple(at)} (image of f {tuple(source)} -> {tuple(target)})"
         )
-    return candidate
-
-
-def _seed_right(F: PseudoIdentityData, phi: dict, source: GammaVertex, target: GammaVertex) -> GammaHom:
-    """Solve phi_target o F(f) o phi_source^(-1) = f with the source automorphism unknown."""
-    z = gamma_compose(phi[target], F.image("f", source, target))
-    if z.f_coeff == 0:
-        raise InvalidPseudoIdentity(
-            f"image of f {tuple(source)} -> {tuple(target)} lost its leading part"
-        )
-    try:
-        candidate = GammaHom(F.spec, source, source, z.f_coeff, z.g_coeff)
-    except ValueError as exc:
-        raise InvalidPseudoIdentity(str(exc)) from exc
-    composite = gamma_compose(z, invert_hom(candidate))
-    if (composite.f_coeff, composite.g_coeff) != (1, 0):
-        raise InvalidPseudoIdentity(
-            f"seed solve failed at {tuple(source)} (image of f {tuple(source)} -> {tuple(target)})"
-        )
-    return candidate
+    return inverse if left else candidate
 
 
 def construct_conjugation(F: PseudoIdentityData) -> AutomorphismFamily:
@@ -432,22 +424,22 @@ def construct_conjugation(F: PseudoIdentityData) -> AutomorphismFamily:
             phi[v] = identity_hom(spec, v)
         for b in range(0, b_hi):
             source, target = GammaVertex(i, 0, b), GammaVertex(i, 0, b + 1)
-            phi[target] = _seed_left(F, phi, source, target)
+            phi[target] = _seed(F, phi, source, target, left=True)
         for a in range(0, a_cap):
             source = GammaVertex(i, a, a + 1 - delta)
             target = GammaVertex(i, a + 1, a + 1 - delta)
-            phi[target] = _seed_left(F, phi, source, target)
+            phi[target] = _seed(F, phi, source, target, left=True)
             for b in range(a + 1 - delta, b_hi):
                 source, target = GammaVertex(i, a + 1, b), GammaVertex(i, a + 1, b + 1)
-                phi[target] = _seed_left(F, phi, source, target)
+                phi[target] = _seed(F, phi, source, target, left=True)
         for a in range(-1, a_lo - 1, -1):
             below = GammaVertex(i, a, a + 1 - delta)
-            phi[below] = _seed_right(F, phi, below, GammaVertex(i, a + 1, a + 1 - delta))
+            phi[below] = _seed(F, phi, below, GammaVertex(i, a + 1, a + 1 - delta), left=False)
             bottom = GammaVertex(i, a, a - delta)
-            phi[bottom] = _seed_right(F, phi, bottom, below)
+            phi[bottom] = _seed(F, phi, bottom, below, left=False)
             for b in range(a + 1 - delta, b_hi):
                 source, target = GammaVertex(i, a, b), GammaVertex(i, a, b + 1)
-                phi[target] = _seed_left(F, phi, source, target)
+                phi[target] = _seed(F, phi, source, target, left=True)
     return AutomorphismFamily(spec, tuple(sorted(phi.items())))
 
 
@@ -459,14 +451,34 @@ class NaturalityCounterexample(NamedTuple):
     rhs: GammaHom
 
 
+def _unnatural(
+    spec: AlgebraSpec, vertices: tuple[GammaVertex, ...], entries: dict, images: dict
+):
+    """Each generator key U -> V, in order, with entries[V] o images[key] != key o entries[U].
+
+    ``entries`` holds each vertex's automorphism as ``scaled`` ints and
+    ``images`` each key's image as a GammaHom, scaled here; both sides are
+    composed with ``compose_coeffs`` and compared by cross-multiplying.
+    """
+    for key, (in_f, in_g) in generator_keys(spec, vertices).items():
+        kind, source, target = key
+        fi, gi, di = scaled(images[key])
+        fa, ga, da = entries[target]
+        fb, gb, db = entries[source]
+        lf, lg = compose_coeffs(fa, ga, fi, gi, in_f, in_g)
+        rf, rg = compose_coeffs(*_GENERATOR_COEFFS[kind], fb, gb, in_f, in_g)
+        d = da * di
+        if lf * db != rf * d or lg * db != rg * d:
+            yield key
+
+
 def verify_naturality(
     phi: AutomorphismFamily, F: PseudoIdentityData
 ) -> NaturalityCounterexample | None:
     """First generator with phi_U o F(h) != h o phi_V, or None when natural.
 
-    Both sides are composed on ``scaled`` ints, each family entry scaled
-    once, and compared by cross-multiplying their denominators; the
-    counterexample is composed with ``gamma_compose``.
+    The family entries are scaled once each and the images are swept by
+    ``_unnatural``; the counterexample is composed with ``gamma_compose``.
     ValueError when phi is over another algebra or misses a data vertex.
     """
     spec = F.spec
@@ -477,19 +489,13 @@ def verify_naturality(
         if v not in family:
             raise ValueError(f"family has no automorphism at {tuple(v)}")
     entries = {v: scaled(family[v]) for v in F.vertices()}
-    for key, (in_f, in_g) in generator_table(spec, F.vertices()).items():
-        kind, source, target = key
-        fi, gi, di = scaled(F._index[key])
-        fa, ga, da = entries[target]
-        fb, gb, db = entries[source]
-        lf, lg = compose_coeffs(fa, ga, fi, gi, in_f, in_g)
-        rf, rg = compose_coeffs(*_GENERATOR_COEFFS[kind], fb, gb, in_f, in_g)
-        d = da * di
-        if lf * db != rf * d or lg * db != rg * d:
-            image, before, after = F._index[key], family[source], family[target]
-            lhs, rhs = gamma_compose(after, image), gamma_compose(_generator_hom(spec, key), before)
-            return NaturalityCounterexample(kind, source, target, lhs, rhs)
-    return None
+    key = next(_unnatural(spec, F.vertices(), entries, F._index), None)
+    if key is None:
+        return None
+    kind, source, target = key
+    lhs = gamma_compose(family[target], F._index[key])
+    rhs = gamma_compose(_generator_hom(spec, key), family[source])
+    return NaturalityCounterexample(kind, source, target, lhs, rhs)
 
 
 # -- The standard triangle -----------------------------------------------------
@@ -638,20 +644,15 @@ def coniso_normal_form(spec: AlgebraSpec, omega: ConnectingIsoData) -> ConisoRep
     for vertex in omega.vertices():
         sv = suspend_vertex(spec, vertex)
         if not in_G(spec, sv, sv):
-            forced.append((vertex, Fraction(0)))
-            if omega.mu(vertex) != 0:
-                conflicts.append(
-                    f"mu at {tuple(vertex)} multiplies a vanishing generator and must be 0"
-                )
+            reason = "multiplies a vanishing generator and must be 0"
+        elif spec.n == 1 and spec.m > 0:
+            reason = "is forced to 0 by the column induction"
+        else:
+            free.append(vertex)
             continue
-        if spec.n == 1 and spec.m > 0:
-            forced.append((vertex, Fraction(0)))
-            if omega.mu(vertex) != 0:
-                conflicts.append(
-                    f"mu at {tuple(vertex)} is forced to 0 by the column induction"
-                )
-            continue
-        free.append(vertex)
+        forced.append((vertex, Fraction(0)))
+        if omega.mu(vertex) != 0:
+            conflicts.append(f"mu at {tuple(vertex)} {reason}")
     return ConisoReport(tuple(forced), tuple(free), tuple(conflicts))
 
 
@@ -712,12 +713,9 @@ def build_eta(spec: AlgebraSpec, omega: ConnectingIsoData) -> AutomorphismFamily
     for vertex in domain:
         build(vertex)
     entries = {v: scaled(h) for v, h in eta.items()}
-    for (kind, source, target), (in_f, in_g) in generator_table(spec, domain).items():
-        h, (fb, gb, db), (fa, ga, da) = _GENERATOR_COEFFS[kind], entries[source], entries[target]
-        lf, lg = compose_coeffs(fa, ga, *h, in_f, in_g)
-        rf, rg = compose_coeffs(*h, fb, gb, in_f, in_g)
-        if lf * db != rf * da or lg * db != rg * da:
-            raise ValueError(f"eta is not natural at {kind} {tuple(source)} -> {tuple(target)}")
+    generators = {key: _generator_hom(spec, key) for key in generator_keys(spec, domain)}
+    for kind, source, target in _unnatural(spec, domain, entries, generators):
+        raise ValueError(f"eta is not natural at {kind} {tuple(source)} -> {tuple(target)}")
     for vertex in domain:
         sv = suspend_vertex(spec, vertex)
         if sv not in available:

@@ -74,6 +74,11 @@ def test_hom_rejects_mixed_modes(capsys):
         ("(0,0,0)", "(0,1,0)", "'(0,1,0)' is not a vertex of the grid"),
         ("(0,0,0,5)", "(0,0,0,0)", "'(0,0,0,5)' is not in the indexing family"),
         ("(0,0,0)", "(0,0,0,0)", "--from and --to must both be vertices or both be quadruples"),
+        ("((0,0,0", "(0,0,0)", "cannot parse '((0,0,0' as a vertex or quadruple"),
+        ("(0,0,0)", "0,0,0)))", "cannot parse '0,0,0)))' as a vertex or quadruple"),
+        ("(0,0,10", "(0,0,0)", "cannot parse '(0,0,10' as a vertex or quadruple"),
+        ("(+0,0_0,0)", "(0,0,0)", "cannot parse '(+0,0_0,0)' as a vertex or quadruple"),
+        ("(0,0,0)", "(０,0,0)", "cannot parse '(０,0,0)' as a vertex or quadruple"),
     ],
 )
 def test_hom_point_errors_are_pinned(capsys, source, target, message):

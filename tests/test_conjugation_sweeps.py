@@ -1,10 +1,11 @@
 """The coefficient sweeps of ``rigidity`` against the morphism-level ones.
 
-``conjugation_data``, ``validate_pseudo_identity``, ``verify_naturality``
-and the naturality loop of ``build_eta`` work on the int triples
-``gamma.scaled(h) = (F, G, D)`` through ``gamma.compose_coeffs`` and the
-per-window ``generator_table``, and compare two sides by cross-multiplying
-their denominators.
+``conjugation_data`` and ``validate_pseudo_identity`` work on the int
+triples ``gamma.scaled(h) = (F, G, D)`` through ``gamma.compose_coeffs``
+and the cone outcomes that the per-window ``generator_keys`` maps each
+key to, and compare two sides by cross-multiplying their denominators.
+``verify_naturality`` and ``build_eta`` share one such naturality sweep,
+``_unnatural``; ``build_eta`` hands it the generators as their own images.
 The reference versions below build every composite as a morphism,
 with a composition written out here (not ``gamma_compose``, which now
 calls the kernel) and the linear extension of the images.  Each test

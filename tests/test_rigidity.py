@@ -160,8 +160,40 @@ def test_zero_coefficient_data_is_rejected():
         else:
             images.append((key, h))
     bad = PseudoIdentityData(spec, WINDOW, tuple(images))
-    with pytest.raises(InvalidPseudoIdentity):
+    with pytest.raises(InvalidPseudoIdentity) as exc:
         construct_conjugation(bad)
+    assert str(exc.value) == "image of f (0, 0, 0) -> (0, 0, 1) lost its leading part"
+
+
+def _with_image(data: PseudoIdentityData, key, f_coeff, g_coeff) -> PseudoIdentityData:
+    """The data with the image of one generator key replaced."""
+    spec = data.spec
+    images = tuple(
+        (k, GammaHom(spec, k[1], k[2], f_coeff, g_coeff) if k == key else h)
+        for k, h in data.images
+    )
+    return PseudoIdentityData(spec, data.window, images)
+
+
+@pytest.mark.parametrize(
+    "source, target, f_coeff, g_coeff, message",
+    [
+        # a left seed walks up the projective column; its unknown is at the target
+        ((0, 0, 0), (0, 0, 1), 0, 0, "image of f (0, 0, 0) -> (0, 0, 1) lost its leading part"),
+        ((0, 0, 0), (0, 1, 0), 1, 1, "no g generator (0, 1, 0) -> (0, 1, 0)"),
+        # a right seed starts a column left of the projectives; its unknown is at the source
+        ((0, -1, -1), (0, 0, -1), 0, 0, "image of f (0, -1, -1) -> (0, 0, -1) lost its leading part"),
+        ((0, -1, -2), (0, -1, -1), 1, 1, "no g generator (0, -1, -2) -> (0, -1, -2)"),
+    ],
+    ids=["left-leading", "left-no-g", "right-leading", "right-no-g"],
+)
+def test_seed_failures_are_pinned(source, target, f_coeff, g_coeff, message):
+    spec = AlgebraSpec(1, 1)
+    key = ("f", GammaVertex(*source), GammaVertex(*target))
+    bad = _with_image(identity_data(spec, WINDOW), key, f_coeff, g_coeff)
+    with pytest.raises(InvalidPseudoIdentity) as exc:
+        construct_conjugation(bad)
+    assert str(exc.value) == message
 
 
 def test_serialization_round_trip(spec):
@@ -239,6 +271,25 @@ def test_coniso_forced_by_column_induction():
     assert not report.free
     if any(data.mu(v) != 0 for v in vertices):
         assert not report.ok
+
+
+@pytest.mark.parametrize(
+    "n, m, vertex, conflict",
+    [
+        (2, 1, (0, -2, -3), "mu at (0, -2, -3) multiplies a vanishing generator and must be 0"),
+        (1, 2, (0, -2, -2), "mu at (0, -2, -2) is forced to 0 by the column induction"),
+    ],
+)
+def test_coniso_conflict_lines_are_pinned(n, m, vertex, conflict):
+    spec = AlgebraSpec(n, m)
+    vertices = conjugation_domain(spec, WINDOW)
+    omega = ConnectingIsoData(
+        spec, tuple((v, Fraction(1) if v == vertex else Fraction(0)) for v in vertices)
+    )
+    report = coniso_normal_form(spec, omega)
+    assert report.conflicts == (conflict,)
+    assert report.forced == tuple((v, Fraction(0)) for v in vertices)
+    assert not report.free
 
 
 def test_coniso_free_for_the_loop():
