@@ -128,9 +128,8 @@ def successor_power(spec: AlgebraSpec, u: int, j: int) -> int:
     return j % spec.n
 
 
-@dataclass(frozen=True)
-class Path:
-    """A nonzero path: start vertex plus arrow word in algebra order."""
+class Path(NamedTuple):
+    """A nonzero path: start vertex plus arrow word in algebra order (hash and eq in C)."""
 
     start: int
     arrows: tuple[int, ...]
@@ -165,18 +164,9 @@ def _is_forbidden_pair(spec: AlgebraSpec, a: int, b: int) -> bool:
 
 
 def path_is_valid(spec: AlgebraSpec, p: Path) -> bool:
-    """Check endpoint chaining and relation freeness of an arrow word."""
-    if p.start not in spec.vertices:
-        return False
-    at = p.start
-    for w in reversed(p.arrows):
-        if w not in spec.arrows or spec.arrow_source(w) != at:
-            return False
-        at = spec.arrow_target(w)
-    for a, b in zip(p.arrows, p.arrows[1:]):
-        if _is_forbidden_pair(spec, a, b):
-            return False
-    return True
+    """Whether p is a nonzero path of spec: an arrow word that chains from
+    p.start and holds no forbidden cycle pair, as listed in the path table."""
+    return p in path_table(spec).products
 
 
 def make_path(spec: AlgebraSpec, arrows: Iterable[int]) -> Path:

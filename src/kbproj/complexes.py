@@ -26,7 +26,6 @@ from .algebra import (
     algebra_product,
     clear_caches,
     memo_table,
-    path_is_valid,
     path_table,
 )
 from .linalg import SpanSolver, add_entry, nullspace, rank
@@ -173,8 +172,9 @@ def _matrices_problem(spec, mats, rows_at, cols_at, what: str, cell: str) -> str
     """The first failure of shape or of a path among degree-indexed matrices, else None.
 
     Degree i's rows and columns stand for the vertices rows_at(i) and
-    cols_at(i); each entry's paths must be valid and run between them.
+    cols_at(i); each entry's paths must be in spec's path table and run between them.
     """
+    products = path_table(spec).products
     for i, mat in sorted(mats.items()):
         rows, cols = rows_at(i), cols_at(i)
         if len(mat) != len(rows) or any(len(r) != len(cols) for r in mat):
@@ -182,7 +182,7 @@ def _matrices_problem(spec, mats, rows_at, cols_at, what: str, cell: str) -> str
         for r, row in enumerate(mat):
             for col, entry in enumerate(row):
                 for path, _ in entry.terms():
-                    if not path_is_valid(spec, path):
+                    if path not in products:
                         return f"degree {i}: {cell} ({r},{col}) holds an invalid path"
                     if path.start != rows[r] or path.end != cols[col]:
                         return (
@@ -199,10 +199,8 @@ def validate_complex(c: ProjComplex) -> str | None:
         for v in c.summand(i):
             if v not in spec.vertices:
                 return f"degree {i}: summand vertex {v} not in the algebra"
-    problem = _matrices_problem(
-        spec, c.diffs, lambda i: c.summand(i + 1), c.summand, "differential", "entry"
-    )
-    if problem is not None:
+    if problem := _matrices_problem(spec, c.diffs, lambda i: c.summand(i + 1), c.summand,
+                                    "differential", "entry"):
         return problem
     # the Hom differential of degree 1 sends d to d d + d d = 2 d^2
     i = _lowest_residual(c, c, 1, c.diffs)
@@ -289,10 +287,8 @@ def validate_chain_map(f: ChainMap) -> str | None:
     spec = f.source.spec
     if spec != f.target.spec:
         return "source and target live over different algebras"
-    problem = _matrices_problem(
-        spec, f.components, f.target.summand, f.source.summand, "component", "component"
-    )
-    if problem is not None:
+    if problem := _matrices_problem(spec, f.components, f.target.summand, f.source.summand,
+                                    "component", "component"):
         return problem
     i = _lowest_residual(f.source, f.target, 0, f.components)
     return None if i is None else f"degree {i}: does not commute with the differentials"
@@ -571,7 +567,7 @@ class HomQuotient:
     """
 
     def __init__(self, c: ProjComplex, d: ProjComplex, core: _QuotientCore | None = None) -> None:
-        if c.spec != d.spec:
+        if c.spec is not d.spec and c.spec != d.spec:
             raise ValueError("hom across different algebras")
         self.source, self.target = c, d
         self._core = core if core is not None else _QuotientCore(c, d)
@@ -684,13 +680,29 @@ def homotopy_rank(maps: list[ChainMap]) -> int:
 def is_null_homotopic(f: ChainMap) -> bool:
     """Whether f = d h + h d for some degreewise h.
 
-    Raises ValueError when f is not a chain map: nullhomotopy of a
-    non-map is meaningless and almost always signals a construction bug.
+    Raises ValueError when f is not a chain map.  A "yes" reads f once:
+    the shapes are checked (a short matrix could be contained once padded),
+    ``contains`` finds each term among the grid's variables, nonzero paths
+    between the right vertices, and every d h + h d is a chain map, as both
+    differentials square to zero.  Only a "no" runs ``validate_chain_map``,
+    to raise on a map that is not a chain map.  Over ``L(1, 0)``, e(0) into
+    degree 0 of the loop ``P_0 -> P_0`` is not a chain map:
+
+    >>> from kbproj.algebra import AlgebraSpec, Path, PathCombination
+    >>> p = stalk_complex(AlgebraSpec(1, 0), 0)
+    >>> c = make_complex(p.spec, {0: (0,), 1: (0,)}, {0: ((PathCombination.of(Path(0, (0,))),),)})
+    >>> is_null_homotopic(make_chain_map(p, c, identity_chain_map(p).components))
+    Traceback (most recent call last):
+    ValueError: not a chain map: degree 0: does not commute with the differentials
     """
-    problem = validate_chain_map(f)
-    if problem is not None:
+    c, d = f.source, f.target
+    fits = all(len(m) == len(d.summand(i)) and all(len(r) == len(c.summand(i)) for r in m)
+               for i, m in f.components.items())
+    if fits and (c.spec is d.spec or c.spec == d.spec) and quotient(c, d).contains(f):
+        return True
+    if problem := validate_chain_map(f):
         raise ValueError(f"not a chain map: {problem}")
-    return quotient(f.source, f.target).contains(f)
+    return False
 
 
 def is_contractible(c: ProjComplex) -> bool:
@@ -892,7 +904,7 @@ def complex_to_obj(c: ProjComplex) -> dict:
             rows.append(cells)
         diffs[str(i)] = rows
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema": SCHEMA_VERSION,
         "algebra": [c.spec.n, c.spec.m],
         "degrees": {str(i): list(c.summands[i]) for i in c.degrees()},
         "differentials": diffs,
@@ -901,12 +913,13 @@ def complex_to_obj(c: ProjComplex) -> dict:
 
 def complex_from_obj(obj: dict) -> ProjComplex:
     """The complex stored in obj, normalized as by ``make_complex``: a degree
-    that lists no summands is dropped.  ValueError on anything malformed."""
+    that lists no summands is dropped.  ValueError on anything malformed.
+    The version key is ``schema``; the legacy ``schema_version`` is read too."""
     if not isinstance(obj, dict):
         raise ValueError("malformed complex: expected a JSON object")
-    version = obj.get("schema_version")
+    version = obj.get("schema", obj.get("schema_version"))
     if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {version!r}")
+        raise ValueError(f"unsupported schema {version!r}")
     try:
         spec = AlgebraSpec(int(obj["algebra"][0]), int(obj["algebra"][1]))
         summands = {int(i): tuple(int(v) for v in s) for i, s in obj["degrees"].items()}

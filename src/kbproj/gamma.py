@@ -425,13 +425,14 @@ _THETA_HOMS = memo_table("gamma.theta_hom")
 def theta_hom(h: GammaHom) -> ChainMap:
     """Chain-map realization of a morphism, generator by generator.
 
-    Results are memoized per process on the morphism's fields (spec,
-    source, target and both coefficients): equal morphisms get the same
+    Results are memoized per process on the morphism's fields: spec,
+    source, target and each coefficient's int numerator and denominator,
+    so no lookup hashes a Fraction.  Equal morphisms get the same
     chain map object, whose source and target are the shared complexes
     of ``build_complex``, so callers must not mutate it.
     ``complexes.clear_caches()`` empties the memo.
     """
-    key = (h.spec, h.source, h.target, h.f_coeff, h.g_coeff)
+    key = (h.spec, h.source, h.target, *h.f_coeff.as_integer_ratio(), *h.g_coeff.as_integer_ratio())
     chain = _THETA_HOMS.get(key)
     if chain is None:
         chain = _THETA_HOMS[key] = _theta_hom(h)

@@ -208,8 +208,7 @@ class PseudoIdentityData:
             index[key] = hom
         if len(index) < len(expected):
             raise ValueError(f"missing images for {len(expected) - len(index)} generators")
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_domain", domain)
+        vars(self).update(_index=index, _domain=domain)
 
     def vertices(self) -> tuple[GammaVertex, ...]:
         return self._domain
@@ -218,10 +217,18 @@ class PseudoIdentityData:
         return self._index[(kind, source, target)]
 
 
+def _trusted_data(spec: AlgebraSpec, window: Window, images) -> PseudoIdentityData:
+    """PseudoIdentityData from one valid image per generator key, in key order; no checks."""
+    data = object.__new__(PseudoIdentityData)
+    vars(data).update(spec=spec, window=window, images=images, _index=dict(images),
+                      _domain=conjugation_domain(spec, window))
+    return data
+
+
 def identity_data(spec: AlgebraSpec, window: Window) -> PseudoIdentityData:
     domain = conjugation_domain(spec, window)
     images = tuple((key, _generator_hom(spec, key)) for key in generator_keys(spec, domain))
-    return PseudoIdentityData(spec, window, images)
+    return _trusted_data(spec, window, images)
 
 
 def conjugation_data(
@@ -252,7 +259,7 @@ def conjugation_data(
         f, g = compose_coeffs(fu, gu, f, g, in_f, in_g)
         d = du * di
         images.append((key, _trusted_hom(spec, source, target, reduced[f, d], reduced[g, d])))
-    return PseudoIdentityData(spec, window, tuple(images))
+    return _trusted_data(spec, window, tuple(images))
 
 
 def _random_fraction(rng: Random, nonzero: bool) -> Fraction:
@@ -280,9 +287,8 @@ def random_unit_family(
 
 def random_pseudo_identity(spec: AlgebraSpec, window: Window, seed: int) -> PseudoIdentityData:
     """Seeded valid data: conjugation by a random unit family."""
-    rng = Random(seed)
     domain = conjugation_domain(spec, window)
-    return conjugation_data(spec, window, random_unit_family(spec, domain, rng))
+    return conjugation_data(spec, window, random_unit_family(spec, domain, Random(seed)))
 
 
 def validate_pseudo_identity(F: PseudoIdentityData) -> list[str]:

@@ -298,3 +298,49 @@ def test_identities_return_the_operand():
     coerced = PathCombination({Path(0, ()): 0, Path(0, (0,)): 2})
     assert coerced == PathCombination.of(Path(0, (0,)), 2)
     _assert_normal(coerced)
+
+
+def test_path_is_a_value_with_a_stable_hash():
+    p, q = Path(1, (-1, 0)), Path(1, (-1, 0))
+    assert p == q and hash(p) == hash(q)
+    # the hash is that of the fields, the same in every process
+    assert hash(p) == hash((1, (-1, 0)))
+    assert p != Path(0, (-1, 0)) and p != Path(1, (0,))
+    assert len({p, q, Path(1, (0,)), Path(1, ())}) == 3
+    assert {p: "x"}[q] == "x"
+    assert (p.start, p.arrows) == (1, (-1, 0))
+
+
+def test_path_repr_end_and_sort_key_are_pinned():
+    stationary, loop, descent = Path(0, ()), Path(0, (0,)), Path(1, (-1, 0))
+    assert [repr(p) for p in (stationary, loop, descent)] == ["e(0)", "a(0)", "a(-1)*a(0)"]
+    assert [p.end for p in (stationary, loop, descent)] == [0, 0, -1]
+    assert [p.is_stationary for p in (stationary, loop, descent)] == [True, False, False]
+    assert [p.sort_key() for p in (stationary, loop, descent)] == [(0, ()), (1, (0,)), (2, (-1, 0))]
+    # terms are listed by sort_key: shorter words first
+    assert repr(PathCombination.of(descent, 2) + PathCombination.of(Path(0, (-1,)))) == "a(-1) + 2*a(-1)*a(0)"
+    assert sorted([descent, stationary, loop], key=Path.sort_key) == [stationary, loop, descent]
+
+
+def test_hom_basis_order_is_pinned():
+    # by (length, arrow word)
+    assert hom_basis_proj(AlgebraSpec(1, 2), -2, 0) == [Path(0, (-2, -1)), Path(0, (-2, -1, 0))]
+    assert hom_basis_proj(AlgebraSpec(1, 2), 0, 0) == [Path(0, ()), Path(0, (0,))]
+    assert [repr(p) for p in hom_basis_proj(AlgebraSpec(3, 2), -2, 1)] == ["a(-2)*a(-1)*a(0)"]
+    assert [repr(p) for p in hom_basis_proj(AlgebraSpec(2, 1), -1, 1)] == ["a(-1)*a(0)"]
+    assert [repr(p) for p in hom_basis_proj(AlgebraSpec(3, 2), 0, 0)] == ["e(0)"]
+
+
+def test_path_is_valid_matches_a_walk_of_the_quiver(spec):
+    letters = list(spec.arrows) + [spec.n, -spec.m - 1]
+    starts = list(spec.vertices) + [spec.n, -spec.m - 1]
+    words = [()]
+    for _ in range(spec.m + 2):
+        words += [(w,) + word for word in words if len(word) == len(words[-1]) for w in letters]
+    for start in starts:
+        nonzero = set()
+        if start in spec.vertices:
+            for v in spec.vertices:
+                nonzero.update(brute_arrow_words(spec.n, spec.m, start, v))
+        for word in set(words):
+            assert path_is_valid(spec, Path(start, word)) == (word in nonzero), (start, word)

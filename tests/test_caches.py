@@ -16,6 +16,7 @@ failing square, one degree below the only component or at it.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -73,9 +74,11 @@ def test_memoized_objects_match_fresh_rebuilds():
         assert fresh is not c
         assert c.key() == fresh.key()
         assert c == fresh
+    # each coefficient is keyed by its int numerator and denominator
+    assert not any(isinstance(x, Fraction) for key in stored_maps for x in key)
     clear_caches()
-    for (spec, source, target, f, g), chain in stored_maps.items():
-        fresh = theta_hom(GammaHom(spec, source, target, f, g))
+    for (spec, source, target, fn, fd, gn, gd), chain in stored_maps.items():
+        fresh = theta_hom(GammaHom(spec, source, target, Fraction(fn, fd), Fraction(gn, gd)))
         assert fresh is not chain
         assert chain.key() == fresh.key()
         assert chain.source.key() == fresh.source.key()

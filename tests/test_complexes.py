@@ -7,6 +7,8 @@ way around.
 
 from __future__ import annotations
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,10 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALGEBRA_PARAMS
-from kbproj.algebra import AlgebraSpec, Path, PathCombination, make_path
+from kbproj import complexes
+from kbproj.algebra import AlgebraSpec, Path, PathCombination, hom_basis_proj, make_path
 from kbproj.complexes import (
     ChainMap,
     add_chain_maps,
+    complex_from_obj,
+    complex_to_obj,
     compose_chain_maps,
     cone_maps,
     direct_sum,
@@ -98,6 +103,30 @@ def test_complex_and_chain_map_checks_name_their_matrices():
     ]
 
 
+@pytest.mark.parametrize(
+    "path, problem",
+    [
+        (Path(5, ()), "holds an invalid path"),  # a start vertex outside the algebra
+        (Path(0, (7,)), "holds an invalid path"),  # an arrow outside the algebra
+        (Path(0, (0, 1)), "holds an invalid path"),  # the forbidden cycle pair (0, 1), 0 -> 0
+        (Path(1, (0, -1)), "holds an invalid path"),  # arrows that do not chain
+        (Path(0, (-1,)), "path runs 0->-1, expected 0->0"),  # a nonzero path, wrong end
+    ],
+)
+def test_invalid_paths_in_matrices_are_named(path, problem):
+    spec = AlgebraSpec(2, 1)
+    entry = PathCombination.of(path)
+    assert validate_complex(make_complex(spec, {0: (0,), 1: (0,)}, {0: ((entry,),)})) == (
+        f"degree 0: entry (0,0) {problem}"
+    )
+    p = stalk_complex(spec, 0)
+    f = ChainMap(p, p, {0: ((entry,),)})
+    assert validate_chain_map(f) == f"degree 0: component (0,0) {problem}"
+    with pytest.raises(ValueError) as raised:
+        is_null_homotopic(f)
+    assert str(raised.value) == f"not a chain map: degree 0: component (0,0) {problem}"
+
+
 def test_validate_rejects_nonzero_square():
     spec = AlgebraSpec(2, 1)
     tail = PathCombination.of(make_path(spec, [-1]))
@@ -168,6 +197,73 @@ def test_identity_and_zero_maps():
     assert not is_null_homotopic(ident)
     assert is_null_homotopic(zero_chain_map(c, c))
     assert is_null_homotopic(add_chain_maps(ident, scale_chain_map(ident, -1)))
+
+
+def _unit(v: int) -> PathCombination:
+    return PathCombination.of(Path(v, ()))
+
+
+def test_a_short_component_raises_though_its_padding_is_null_homotopic():
+    # the inclusion of the first summand of cone (+) cone, cone contractible,
+    # written with one row per degree where the target has two
+    spec = AlgebraSpec(1, 0)
+    cone = mapping_cone(identity_chain_map(stalk_complex(spec, 0)))
+    both = direct_sum(cone, cone)
+    zero = PathCombination.zero()
+    padded = ChainMap(cone, both, {i: ((_unit(0),), (zero,)) for i in (-1, 0)})
+    assert validate_chain_map(padded) is None and is_null_homotopic(padded)
+    short = ChainMap(cone, both, {i: ((_unit(0),),) for i in (-1, 0)})
+    assert quotient(cone, both).contains(short)
+    with pytest.raises(ValueError) as raised:
+        is_null_homotopic(short)
+    assert str(raised.value) == "not a chain map: degree -1: component shape does not match summands"
+
+
+def test_a_map_that_is_not_a_chain_map_raises_the_unchanged_message():
+    spec = AlgebraSpec(1, 0)
+    p = stalk_complex(spec, 0)
+    loop = make_complex(spec, {0: (0,), 1: (0,)}, {0: ((PathCombination.of(Path(0, (0,))),),)})
+    f = make_chain_map(p, loop, {0: ((_unit(0),),)})
+    with pytest.raises(ValueError) as raised:
+        is_null_homotopic(f)
+    assert str(raised.value) == "not a chain map: degree 0: does not commute with the differentials"
+
+
+def test_maps_over_two_algebras_raise_the_unchanged_message():
+    f = zero_chain_map(stalk_complex(AlgebraSpec(1, 0), 0), stalk_complex(AlgebraSpec(2, 1), 0))
+    with pytest.raises(ValueError) as raised:
+        is_null_homotopic(f)
+    assert str(raised.value) == "not a chain map: source and target live over different algebras"
+
+
+def test_a_chain_map_that_is_not_null_homotopic_gives_false():
+    spec = AlgebraSpec(2, 1)
+    c = two_term(spec)
+    assert is_null_homotopic(identity_chain_map(c)) is False
+    p = stalk_complex(spec, 0)
+    assert is_null_homotopic(make_chain_map(p, p, {0: ((_unit(0),),)})) is False
+
+
+def test_a_yes_never_multiplies_out_the_chain_equation(monkeypatch):
+    calls = []
+    residual = complexes._lowest_residual
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(complexes, "_lowest_residual", counted)
+    spec = AlgebraSpec(2, 1)
+    cone = mapping_cone(identity_chain_map(two_term(spec)))
+    assert is_null_homotopic(identity_chain_map(cone))
+    assert is_null_homotopic(zero_chain_map(cone, two_term(spec)))
+    for c in (build_complex(spec, q) for q in enumerate_quadruples(spec, -1, 1, 2)[:6]):
+        inc, proj = cone_maps(identity_chain_map(c))
+        assert is_null_homotopic(compose_chain_maps(proj, inc))
+    assert calls == []
+    # a "no" multiplies it out once, to tell a non-map from a map
+    assert not is_null_homotopic(identity_chain_map(two_term(spec)))
+    assert len(calls) == 1
 
 
 def test_cone_of_identity_is_contractible():
@@ -265,6 +361,24 @@ def test_serialization_round_trip(spec):
         again = loads_complex(dumps_complex(c))
         assert again.key() == c.key()
         assert dumps_complex(again) == dumps_complex(c)
+
+
+def test_complexes_are_written_with_the_schema_key(spec):
+    c = build_complex(spec, enumerate_quadruples(spec, -1, 1, 2)[0])
+    obj = complex_to_obj(c)
+    assert obj["schema"] == 1 and "schema_version" not in obj
+    assert complex_from_obj(obj).key() == c.key()
+    assert complex_from_obj(json.loads(dumps_complex(c))) == c
+    legacy = {"schema_version": 1, **{k: v for k, v in obj.items() if k != "schema"}}
+    assert complex_from_obj(legacy).key() == c.key()
+
+
+@pytest.mark.parametrize("version", [2, 0, "1", None])
+def test_a_wrong_schema_value_is_rejected(version):
+    obj = complex_to_obj(stalk_complex(AlgebraSpec(1, 0), 0))
+    obj["schema"] = version
+    with pytest.raises(ValueError, match="unsupported schema"):
+        complex_from_obj(obj)
 
 
 @pytest.mark.parametrize(
@@ -369,3 +483,60 @@ def test_random_composites_are_chain_maps(data):
     # bilinearity of composition
     two_f = add_chain_maps(f, f)
     assert compose_chain_maps(g, two_f).key() == scale_chain_map(composite, 2).key()
+
+
+def _validate_first(f: ChainMap):
+    """is_null_homotopic as it was: every check of validate_chain_map, then contains."""
+    problem = validate_chain_map(f)
+    if problem is not None:
+        return f"not a chain map: {problem}"
+    return quotient(f.source, f.target).contains(f)
+
+
+def _outcome(f: ChainMap):
+    try:
+        return is_null_homotopic(f)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _corrupted(rng, f: ChainMap, paths) -> ChainMap:
+    """f with one component changed: an entry replaced, a row dropped or added, or a stray degree."""
+    comps = {i: [list(row) for row in m] for i, m in f.components.items()}
+    kind = rng.randrange(4)
+    if kind == 3 or not comps:
+        i = rng.choice(sorted(set(f.source.summands) | set(f.target.summands) | {7}))
+        rows = len(f.target.summand(i)) or 1
+        cols = len(f.source.summand(i)) or 1
+        comps[i] = [[PathCombination.of(rng.choice(paths)) for _ in range(cols)] for _ in range(rows)]
+    else:
+        i = rng.choice(sorted(comps))
+        mat = comps[i]
+        if kind == 0 and mat and mat[0]:
+            r, col = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
+            mat[r][col] = mat[r][col] + PathCombination.of(rng.choice(paths), rng.choice((1, -2)))
+        elif kind == 1 and mat:
+            del mat[rng.randrange(len(mat))]
+        else:
+            mat.append([PathCombination.zero() for _ in (mat[0] if mat else ())])
+    return ChainMap(f.source, f.target, {i: tuple(tuple(r) for r in m) for i, m in comps.items()})
+
+
+@pytest.mark.parametrize("n, m", ALGEBRA_PARAMS)
+def test_is_null_homotopic_answers_as_validating_first(n, m):
+    spec = AlgebraSpec(n, m)
+    rng = random.Random(n * 10 + m)
+    quads = enumerate_quadruples(spec, -1, 1, 2)
+    # every nonzero path, a path of another algebra's arrow, and a zero word
+    paths = [p for u in spec.vertices for v in spec.vertices for p in hom_basis_proj(spec, v, u)]
+    paths += [Path(0, (spec.n,)), Path(-spec.m, (-spec.m, -spec.m))]
+    seen = set()
+    for _ in range(60):
+        c, d = (build_complex(spec, rng.choice(quads)) for _ in range(2))
+        maps = hom_space(c, d).basis or [zero_chain_map(c, d)]
+        f = rng.choice(maps)
+        for g in (f, add_chain_maps(f, scale_chain_map(f, -1)), _corrupted(rng, f, paths)):
+            expected = _validate_first(g)
+            assert _outcome(g) == expected
+            seen.add(expected if isinstance(expected, bool) else expected.split(": ")[-1])
+    assert {True, False} <= seen and len(seen) >= 4

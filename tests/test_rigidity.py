@@ -104,6 +104,20 @@ def test_conjugation_round_trip(spec):
             assert family[v] == invert_hom(unit[v])
 
 
+def test_built_data_equals_the_checked_constructor_image_by_image(spec):
+    window = (-3, 3, -3, 3)
+    unit = random_unit_family(spec, conjugation_domain(spec, window), Random(5))
+    for built in (conjugation_data(spec, window, unit), identity_data(spec, window)):
+        checked = PseudoIdentityData(spec, window, built.images)
+        assert built == checked
+        assert list(built._index) == list(checked._index) == list(generator_keys(spec, built.vertices()))
+        for key, hom in checked.images:
+            assert built.image(*key) == hom
+            assert type(built.image(*key).f_coeff) is type(built.image(*key).g_coeff) is Fraction
+        assert built.vertices() == checked.vertices() == conjugation_domain(spec, window)
+        assert pseudo_identity_to_obj(built) == pseudo_identity_to_obj(checked)
+
+
 def test_validation_catches_moved_endpoints():
     spec = AlgebraSpec(2, 1)
     data = identity_data(spec, WINDOW)
