@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import wraps
 from typing import Iterable, Iterator, NamedTuple
 
-from .linalg import add_entry
+from .linalg import add_entry, exact
 
 # Every per-process memo table of the package, by name.  Tables hold only
 # results of pure functions of their keys, so emptying them changes no
@@ -63,10 +63,11 @@ class AlgebraSpec:
 
     n: int
     m: int
-    # Built once per spec: vertices -m..n-1, and arrow indices (alpha_u has
-    # target u).  Derived from (n, m), so they stay out of eq, hash and repr.
+    # Built once per spec: vertices -m..n-1, arrow indices (alpha_u has target
+    # u) and hash((n, m)), which every memo lookup asks for.  Out of eq and repr.
     vertices: range = field(init=False, repr=False, compare=False)
     arrows: range = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -75,6 +76,10 @@ class AlgebraSpec:
             raise ValueError(f"tail length m must be >= 0, got {self.m}")
         object.__setattr__(self, "vertices", range(-self.m, self.n))
         object.__setattr__(self, "arrows", self.vertices)
+        object.__setattr__(self, "_hash", hash((self.n, self.m)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def arrow_source(self, u: int) -> int:
         if not -self.m <= u <= self.n - 1:
@@ -231,30 +236,27 @@ def compose_paths(spec: AlgebraSpec, p: Path, q: Path) -> "PathCombination":
     return PathCombination.of(Path(q.start, p.arrows + q.arrows))
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 class PathCombination:
     """A rational linear combination of parallel paths.
 
-    Internally a dict Path -> Fraction with zero coefficients dropped.
+    Internally a dict Path -> coefficient with zeros dropped, each an int or,
+    only when its value is no integer, a Fraction (``linalg.exact``).
     Combinations occurring as matrix entries always consist of parallel
     paths (same start, same end), but that is the caller's concern.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[Path, Fraction] | None = None):
-        self._terms: dict[Path, Fraction] = {}
+    def __init__(self, terms: dict[Path, int | Fraction] | None = None):
+        self._terms: dict[Path, int | Fraction] = {}
         if terms:
             for path, coeff in terms.items():
-                if coeff:
-                    self._terms[path] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                if coeff := exact(coeff):
+                    self._terms[path] = coeff
 
     @classmethod
-    def _trusted(cls, terms: dict[Path, Fraction]) -> "PathCombination":
-        """Wrap ``terms`` as is: every value a nonzero Fraction, the dict unshared."""
+    def _trusted(cls, terms: dict[Path, int | Fraction]) -> "PathCombination":
+        """Wrap ``terms`` as is: every value nonzero and in normal form, the dict unshared."""
         out = cls.__new__(cls)
         out._terms = terms
         return out
@@ -273,19 +275,19 @@ class PathCombination:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def terms(self) -> Iterator[tuple[Path, Fraction]]:
+    def terms(self) -> Iterator[tuple[Path, int | Fraction]]:
         if len(self._terms) < 2:
             return iter(self._terms.items())
         return iter(sorted(self._terms.items(), key=lambda it: it[0].sort_key()))
 
-    def coefficient(self, path: Path) -> Fraction:
-        return self._terms.get(path, _ZERO)
+    def coefficient(self, path: Path) -> int | Fraction:
+        return self._terms.get(path, 0)
 
-    def stationary_coefficient(self) -> Fraction:
+    def stationary_coefficient(self) -> int | Fraction:
         for path, coeff in self._terms.items():
             if path.is_stationary:
                 return coeff
-        return _ZERO
+        return 0
 
     def __add__(self, other: "PathCombination") -> "PathCombination":
         if not other._terms:
@@ -304,15 +306,14 @@ class PathCombination:
         return PathCombination._trusted({p: -c for p, c in self._terms.items()})
 
     def scale(self, coeff: Fraction | int) -> "PathCombination":
-        if not isinstance(coeff, Fraction):
-            coeff = Fraction(coeff)
+        coeff = exact(coeff)
         if not coeff:
             return PathCombination.zero()
         if coeff == 1:
             return self
         if coeff == -1:
             return -self
-        return PathCombination._trusted({p: c * coeff for p, c in self._terms.items()})
+        return PathCombination._trusted({p: exact(c * coeff) for p, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathCombination):
@@ -390,7 +391,7 @@ def algebra_product(
 ) -> PathCombination:
     """Bilinear extension of compose_paths: x*y with y applied first."""
     products = path_table(spec).products
-    out: dict[Path, Fraction] = {}
+    out: dict[Path, int | Fraction] = {}
     for px, cx in x._terms.items():
         after = products.get(px, _NO_PRODUCTS)
         x_is_one = cx == 1
@@ -400,7 +401,7 @@ def algebra_product(
             except KeyError:
                 raise ValueError(f"{px!r} * {py!r}: not composable nonzero paths of {spec}") from None
             if path is not None:
-                add_entry(out, path, cy if x_is_one else cx if cy == 1 else cx * cy)
+                add_entry(out, path, cy if x_is_one else cx if cy == 1 else exact(cx * cy))
     return PathCombination._trusted(out)
 
 

@@ -11,8 +11,6 @@ what the verification sweeps compare against.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import (
     AlgebraSpec,
     Path,
@@ -171,7 +169,7 @@ def psi_map(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> Chai
     source = build_complex(spec, q_source)
     target = build_complex(spec, q_target)
     comps = _empty_components(spec, source, target)
-    sign = Fraction(1) if (k + l) % 2 == 0 else Fraction(-1)
+    sign = 1 if (k + l) % 2 == 0 else -1
     top = successor_power(spec, u, l)
 
     if _psi_r1(spec, q_target, q_source):

@@ -28,7 +28,7 @@ from .algebra import (
     memo_table,
     path_table,
 )
-from .linalg import SpanSolver, add_entry, nullspace, rank
+from .linalg import SpanSolver, add_entry, exact, nullspace, rank
 
 _QUOTIENTS = memo_table("complexes.hom_quotient")
 
@@ -122,7 +122,8 @@ class ProjComplex:
             if t % 2:  # an odd shift negates every differential
                 diffs = [(i, tuple(tuple(tuple((s, w, -a, b) for s, w, a, b in e) for e in row)
                                    for row in mat)) for i, mat in diffs]
-            k = (n, m, tuple((i - t, s) for i, s in summands), tuple((i - t, x) for i, x in diffs))
+            k = _HashedKey((n, m, tuple((i - t, s) for i, s in summands), tuple((i - t, x) for i, x in diffs)))
+            k.hash = tuple.__hash__(k)
             object.__setattr__(self, "_nkey", k)
         return self._nkey
 
@@ -131,6 +132,14 @@ class ProjComplex:
             return "ProjComplex(0)"
         parts = [f"{i}:{list(self.summands[i])}" for i in self.degrees()]
         return f"ProjComplex({', '.join(parts)})"
+
+
+class _HashedKey(tuple):
+    """A tuple that walks its items for a hash once, as ``nkey()``: the
+    ``quotient`` memo looks it up on every call.  Equality is the tuple's."""
+
+    def __hash__(self) -> int:
+        return self.hash
 
 
 def _lowest(c: ProjComplex) -> int:
@@ -323,7 +332,7 @@ def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
 
 
 def scale_chain_map(f: ChainMap, coeff) -> ChainMap:
-    coeff = Fraction(coeff)
+    coeff = exact(coeff)
     if coeff == 1:
         return f
     comps = {i: mat_scale(m, coeff) for i, m in f.components.items()} if coeff else {}
@@ -467,15 +476,15 @@ def _map_terms(mats, t: int):
 def _lowest_residual(c: ProjComplex, d: ProjComplex, n: int, mats) -> int | None:
     """The lowest degree where D(x) is nonzero, x: C -> D[n] with components mats, else None."""
     t = _lowest(c)
-    residual: dict[tuple, Fraction] = {}
+    residual: dict[tuple, int | Fraction] = {}
     for a, key, b in _hom_differential(c, d, n, _map_terms(mats, t)):
-        add_entry(residual, key, a * b)
+        add_entry(residual, key, exact(a * b))
     return min(key[0] for key in residual) + t if residual else None
 
 
 def _chain_equations(c: ProjComplex, d: ProjComplex, fvars):
     """Rows of the linear system expressing d_D f = f d_C on path coordinates."""
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    rows: dict[tuple, dict[int, int | Fraction]] = {}
     for var, key, coeff in _hom_differential(c, d, 0, enumerate(fvars)):
         add_entry(rows.setdefault(key, {}), var, coeff)
     return [rows[k] for k in sorted(rows, key=lambda t: (t[0], t[1], t[2], t[3].sort_key()))]
@@ -484,7 +493,7 @@ def _chain_equations(c: ProjComplex, d: ProjComplex, fvars):
 def _homotopy_images(c: ProjComplex, d: ProjComplex, findex):
     """Image vectors (in f-variable coordinates) of the unit homotopies."""
     hvars = _hom_variables(c, d, -1)
-    images: list[dict[int, Fraction]] = [{} for _ in hvars]
+    images: list[dict[int, int | Fraction]] = [{} for _ in hvars]
     for h, key, coeff in _hom_differential(c, d, -1, enumerate(hvars)):
         var = findex.get(key)
         if var is not None:
@@ -508,9 +517,9 @@ def _lift_vector(c: ProjComplex, d: ProjComplex, fvars, vec) -> ChainMap:
     return make_chain_map(c, d, {i + t: tuple(tuple(r) for r in m) for i, m in comps.items()})
 
 
-def _map_vector(f: ChainMap, findex) -> dict[int, Fraction]:
+def _map_vector(f: ChainMap, findex) -> dict[int, int | Fraction]:
     t = _lowest(f.source)
-    vec: dict[int, Fraction] = {}
+    vec: dict[int, int | Fraction] = {}
     for coeff, key in _map_terms(f.components, t):
         var = findex.get(key)
         if var is None:
@@ -888,6 +897,15 @@ def is_isomorphic_K(c: ProjComplex, d: ProjComplex) -> IsoResult:
 SCHEMA_VERSION = 1
 
 
+def _json_ints(values, what: str) -> tuple[int, ...]:
+    """values as a tuple; TypeError unless each one is a JSON integer, which a bool is not."""
+    out = tuple(values)
+    for x in out:
+        if type(x) is not int:
+            raise TypeError(f"{what} {x!r} is not an integer")
+    return out
+
+
 def complex_to_obj(c: ProjComplex) -> dict:
     diffs = {}
     for i, mat in sorted(c.diffs.items()):
@@ -921,8 +939,8 @@ def complex_from_obj(obj: dict) -> ProjComplex:
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {version!r}")
     try:
-        spec = AlgebraSpec(int(obj["algebra"][0]), int(obj["algebra"][1]))
-        summands = {int(i): tuple(int(v) for v in s) for i, s in obj["degrees"].items()}
+        spec = AlgebraSpec(*_json_ints(obj["algebra"][:2], "algebra parameter"))
+        summands = {int(i): _json_ints(s, "vertex") for i, s in obj["degrees"].items()}
         diffs = {}
         for key, rows in obj.get("differentials", {}).items():
             i = int(key)
@@ -933,11 +951,10 @@ def complex_from_obj(obj: dict) -> ProjComplex:
                 for cell in row:
                     acc = PathCombination.zero()
                     for arrows, num, den in cell:
-                        arrows = tuple(int(w) for w in arrows)
+                        arrows = _json_ints(arrows, "arrow")
                         start = spec.arrow_source(arrows[-1]) if arrows else row_verts[r]
-                        acc = acc + PathCombination.of(
-                            Path(start, arrows), Fraction(int(num), int(den))
-                        )
+                        coeff = Fraction(*_json_ints((num, den), "numerator or denominator"))
+                        acc = acc + PathCombination.of(Path(start, arrows), coeff)
                     cells.append(acc)
                 mat.append(tuple(cells))
             diffs[i] = tuple(mat)

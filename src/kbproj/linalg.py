@@ -1,8 +1,9 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts column -> coefficient with zeros absent.  Rank,
-nullspaces and span solving share one elimination step, ``_insert``: a
-row is reduced against a Fraction echelon and kept, with pivot
+Vectors are dicts column -> coefficient with zeros absent; a coefficient
+is an int, or a Fraction only when its value is no integer (``exact``).
+Rank, nullspaces and span solving share one elimination step,
+``_insert``: a row is reduced against the echelon and kept, with pivot
 coefficient 1, if anything is left.  Only ``SpanSolver`` tracks how each
 row combines its generators.  Everything is deterministic: a row's pivot
 is its smallest column index.
@@ -13,42 +14,46 @@ from __future__ import annotations
 import copy
 from fractions import Fraction
 
-_ONE = Fraction(1)
+
+def exact(c) -> int | Fraction:
+    """c in normal form: an int when its value is an integer, else a Fraction;
+    TypeError on anything else, a float or a bool too.
+
+    >>> exact(Fraction(4, 2)), exact(Fraction(2, 4))
+    (2, Fraction(1, 2))
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
 
 
-def add_entry(vec: dict, j, coeff: Fraction) -> None:
-    """vec[j] += coeff for a nonzero coeff, keeping zeros absent."""
+def add_entry(vec: dict, j, coeff) -> None:
+    """vec[j] += coeff for a nonzero coeff in normal form, keeping zeros absent, sums exact."""
     cur = vec.get(j)
     if cur is None:
         vec[j] = coeff
     else:
         cur += coeff
         if cur:
-            vec[j] = cur
+            vec[j] = cur if type(cur) is int else exact(cur)
         else:
             del vec[j]
 
 
-def _fraction_row(vec) -> dict:
-    """A copy of vec with zeros dropped and every entry a Fraction."""
-    return {j: c if isinstance(c, Fraction) else Fraction(c) for j, c in vec.items() if c}
+def _row(vec) -> dict:
+    """A copy of vec with zeros dropped and every entry in normal form."""
+    return {j: e for j, c in vec.items() if (e := c if type(c) is int else exact(c))}
 
 
-def _subtract_multiple(row: dict, factor: Fraction, prow: dict) -> None:
-    """row -= factor * prow in place, keeping zeros absent."""
+def _subtract_multiple(row: dict, factor, prow: dict) -> None:
+    """row -= factor * prow in place, keeping zeros absent and entries in normal form."""
     # Factors are mostly +-1, where a negation or nothing replaces the product.
     neg = -factor
     sign = 1 if neg == 1 else -1 if neg == -1 else 0
     for j, c in prow.items():
-        cur = row.get(j)
-        if cur is None:
-            row[j] = c if sign > 0 else -c if sign else neg * c
-        else:
-            cur = cur + c if sign > 0 else cur - c if sign else cur + neg * c
-            if cur:
-                row[j] = cur
-            else:
-                del row[j]
+        add_entry(row, j, c if sign > 0 else -c if sign else exact(neg * c))
 
 
 def _reduce(echelon: list, row: dict, combo: dict | None) -> None:
@@ -77,10 +82,10 @@ def _insert(echelon: list, row: dict, combo: dict | None = None) -> bool:
         if combo:
             combo = {i: -c for i, c in combo.items()}
     elif lead != 1:
-        inv = 1 / lead
-        row = {j: c * inv for j, c in row.items()}
+        inv = Fraction(1) / lead  # 1 / lead would be a float for an int lead
+        row = {j: exact(c * inv) for j, c in row.items()}
         if combo:
-            combo = {i: c * inv for i, c in combo.items()}
+            combo = {i: exact(c * inv) for i, c in combo.items()}
     echelon.append((pivot, row, combo))
     return True
 
@@ -88,7 +93,7 @@ def _insert(echelon: list, row: dict, combo: dict | None = None) -> bool:
 def _echelon(rows) -> list:
     echelon: list = []
     for raw in rows:
-        _insert(echelon, _fraction_row(raw))
+        _insert(echelon, _row(raw))
     return echelon
 
 
@@ -97,7 +102,7 @@ def rank(rows) -> int:
     return len(_echelon(rows))
 
 
-def nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
+def nullspace(rows, ncols: int) -> list[dict]:
     """Basis of the right nullspace, one vector per free column.
 
     Columns are 0..ncols-1; basis vectors come in increasing order of
@@ -116,7 +121,7 @@ def nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
     for free in range(ncols):
         if free in pivots:
             continue
-        vec = {free: Fraction(1)}
+        vec = {free: 1}
         for pcol, prow in pivots.items():
             if free in prow:
                 vec[pcol] = -prow[free]
@@ -134,7 +139,7 @@ class SpanSolver:
     """
 
     def __init__(self, relations=()) -> None:
-        self._rows: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
+        self._rows: list[tuple[int, dict, dict]] = []
         self._count = 0
         for vec in relations:
             self.add_relation(vec)
@@ -151,21 +156,21 @@ class SpanSolver:
 
     def add_relation(self, vec) -> bool:
         """Add vec to the span without an index; False if it was already there."""
-        return _insert(self._rows, _fraction_row(vec), {})
+        return _insert(self._rows, _row(vec), {})
 
     def add_generator(self, vec) -> None:
         index = self._count
         self._count += 1
-        _insert(self._rows, _fraction_row(vec), {index: _ONE})
+        _insert(self._rows, _row(vec), {index: 1})
 
     def solve(self, rhs) -> dict[int, Fraction] | None:
-        """Coefficients over generator indices with rhs = sum_i c_i gen_i modulo relations."""
-        row = _fraction_row(rhs)
-        combo: dict[int, Fraction] = {}
+        """Coefficients c_i, as Fractions, with rhs = sum_i c_i gen_i modulo relations."""
+        row = _row(rhs)
+        combo: dict = {}
         _reduce(self._rows, row, combo)
         if row:
             return None
-        return {i: -c for i, c in combo.items() if c}
+        return {i: Fraction(-c) for i, c in combo.items() if c}
 
     def contains(self, rhs) -> bool:
         return self.solve(rhs) is not None

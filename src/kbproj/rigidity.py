@@ -48,6 +48,7 @@ from .complexes import (
     ChainMap,
     ProjComplex,
     SCHEMA_VERSION,
+    _json_ints,
     _unit_matrix,
     compose_chain_maps,
     cone_maps,
@@ -755,6 +756,13 @@ def pseudo_identity_to_obj(F: PseudoIdentityData) -> dict:
     }
 
 
+def _json_coeff(x) -> Fraction:
+    """A Fraction string, as ``pseudo_identity_to_obj`` writes, or a JSON integer."""
+    if isinstance(x, str) or type(x) is int:
+        return Fraction(x)
+    raise TypeError(f"coefficient {x!r} is neither a Fraction string nor an integer")
+
+
 def pseudo_identity_from_obj(obj: dict) -> PseudoIdentityData:
     """The data stored in obj; ValueError on anything malformed."""
     if not isinstance(obj, dict):
@@ -762,13 +770,13 @@ def pseudo_identity_from_obj(obj: dict) -> PseudoIdentityData:
     if obj.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {obj.get('schema')!r}")
     try:
-        spec = AlgebraSpec(*obj["algebra"])
-        window = tuple(obj["window"])
+        spec = AlgebraSpec(*_json_ints(obj["algebra"], "algebra parameter"))
+        window = _json_ints(obj["window"], "window bound")
         images = []
         for item in obj["images"]:
-            source = GammaVertex(*item["source"])
-            target = GammaVertex(*item["target"])
-            hom = GammaHom(spec, source, target, Fraction(item["f"]), Fraction(item["g"]))
+            source = GammaVertex(*_json_ints(item["source"], "vertex coordinate"))
+            target = GammaVertex(*_json_ints(item["target"], "vertex coordinate"))
+            hom = GammaHom(spec, source, target, _json_coeff(item["f"]), _json_coeff(item["g"]))
             images.append(((item["kind"], source, target), hom))
         return PseudoIdentityData(spec, window, tuple(images))
     except (AttributeError, IndexError, KeyError, TypeError, ZeroDivisionError) as exc:

@@ -29,9 +29,9 @@ from kbproj.algebra import (
 
 
 def test_rejects_bad_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cycle length n must be >= 1, got 0$"):
         AlgebraSpec(0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tail length m must be >= 0, got -1$"):
         AlgebraSpec(1, -1)
 
 
@@ -41,6 +41,9 @@ def test_spec_is_a_value_of_n_and_m(n, m):
     twin = AlgebraSpec(n, m)
     assert spec == twin and hash(spec) == hash(twin)
     assert spec != AlgebraSpec(n + 1, m) and spec != AlgebraSpec(n, m + 1)
+    # the hash is that of (n, m), computed once per spec; a spec is no tuple
+    assert hash(spec) == hash((n, m)) and hash(replace(spec, m=m + 1)) == hash((n, m + 1))
+    assert spec != (n, m) and len({spec, twin, AlgebraSpec(n + 1, m)}) == 2
     assert repr(spec) == f"AlgebraSpec(n={n}, m={m})"
     assert spec.vertices == spec.arrows == range(-m, n)
     assert replace(spec, n=n + 1).vertices == range(-m, n + 1)
@@ -230,8 +233,9 @@ def _reference_product(spec, x, y):
 
 
 def _assert_normal(x: PathCombination) -> None:
+    """Every coefficient a nonzero int, or a Fraction that is not an integer; never a float."""
     for _, coeff in x.terms():
-        assert type(coeff) is Fraction and coeff != 0
+        assert (type(coeff) is int and coeff != 0) or (type(coeff) is Fraction and coeff.denominator > 1)
 
 
 def test_table_products_follow_the_concatenation_rule(spec):
@@ -286,6 +290,36 @@ def test_cancelling_terms_leave_no_zero_coefficient():
     assert (x - x).is_zero() and list((x - x).terms()) == []
     for combo in (x + y, x - y, -x, x.scale(3), x.scale(Fraction(1, 2)), PathCombination.of(a, 2)):
         _assert_normal(combo)
+
+
+def test_coefficients_are_ints_unless_a_denominator_is_left():
+    spec = AlgebraSpec(1, 0)
+    e, a = Path(0, ()), Path(0, (0,))
+    half = PathCombination.of(e, Fraction(1, 2))
+    for whole in (half + half, half.scale(2), PathCombination.of(e, Fraction(4, 4))):
+        assert list(whole.terms()) == [(e, 1)] and type(whole.coefficient(e)) is int
+    quarter = half.scale(Fraction(1, 2))
+    assert quarter.coefficient(e) == Fraction(1, 4) and type(quarter.coefficient(e)) is Fraction
+    # (2 e + 1/3 a)(3/2 e) = 3 e + 1/2 a: int x Fraction products in both directions
+    x = PathCombination.of(e, 2) + PathCombination.of(a, Fraction(1, 3))
+    y = PathCombination.of(e, Fraction(3, 2))
+    for got in (algebra_product(spec, x, y), algebra_product(spec, y, x)):
+        assert list(got.terms()) == [(e, 3), (a, Fraction(1, 2))]
+        assert [type(c) for _, c in got.terms()] == [int, Fraction]
+        assert got.key() == ((0, (), 3, 1), (0, (0,), 1, 2)) and repr(got) == "3*e(0) + 1/2*a(0)"
+    assert (x.scale(Fraction(3, 2)) - PathCombination.of(a, Fraction(1, 2))).coefficient(e) == 3
+    for combo in (half, quarter, x, y, half + half, x.scale(3), x.scale(-1), -x):
+        _assert_normal(combo)
+    assert PathCombination.of(e, 3).key() == PathCombination.of(e, Fraction(3)).key() == ((0, (), 3, 1),)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1", None])
+def test_a_coefficient_is_never_a_float(bad):
+    e = Path(0, ())
+    with pytest.raises(TypeError, match="is neither an int nor a Fraction"):
+        PathCombination.of(e, bad)
+    with pytest.raises(TypeError, match="is neither an int nor a Fraction"):
+        PathCombination.of(e).scale(bad)
 
 
 def test_identities_return_the_operand():

@@ -152,6 +152,23 @@ def test_triangles_down_a_suspension_column_share_quotient_cores(monkeypatch):
         assert core.boundary.rank == fresh._core.boundary.rank
 
 
+def test_the_quotient_key_is_hashed_once_and_compared_in_full():
+    spec = AlgebraSpec(1, 0)
+    p = stalk_complex(spec, 0)
+    loop = complexes.mapping_cone(make_chain_map(p, p, {0: ((PathCombination.of(Path(0, (0,))),),)}))
+    key = loop.nkey()
+    assert key is loop.nkey() and key == tuple(key) and hash(key) == hash(tuple(key))
+    # a forged collision of the stored hashes still gives two cores: the memo
+    # lookup compares the keys themselves, not their hashes
+    p.nkey().hash = key.hash
+    assert hash(p.nkey()) == hash(key) and p.nkey() != key
+    assert complexes.quotient(p, p)._core is not complexes.quotient(loop, loop)._core
+    assert len(memo_table("complexes.hom_quotient")) == 2
+    # an equal complex built afresh finds the stored core
+    again = complexes.mapping_cone(make_chain_map(p, p, {0: ((PathCombination.of(Path(0, (0,))),),)}))
+    assert again is not loop and complexes.quotient(again, again)._core is complexes.quotient(loop, loop)._core
+
+
 def test_verify_json_is_identical_on_cold_and_warm_caches(capsys):
     cold_code, cold = verify_json(capsys)
     assert any(memo_table(name) for name in TABLES)

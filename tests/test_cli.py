@@ -410,6 +410,47 @@ def test_rigidity_check_hand_made_file(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        # Fraction() read JSON floats: "f": 1.0 passed as "ok", and "f": 0.1
+        # became 3602879701896397/36028797018963968
+        ("f", 1.0, "coefficient 1.0 is neither a Fraction string nor an integer"),
+        ("f", 0.1, "coefficient 0.1 is neither a Fraction string nor an integer"),
+        ("g", True, "coefficient True is neither a Fraction string nor an integer"),
+        ("source", [0, 0.0, 0], "vertex coordinate 0.0 is not an integer"),
+        ("target", [0, 0, True], "vertex coordinate True is not an integer"),
+        ("algebra", [1.0, 0], "algebra parameter 1.0 is not an integer"),
+        ("window", [0, 0, 0, 1.0], "window bound 1.0 is not an integer"),
+        ("window", [False, 0, 0, 1], "window bound False is not an integer"),
+    ],
+)
+def test_rigidity_check_input_rejects_floats_and_bools(capsys, tmp_path, field, value, problem):
+    obj = json.loads(json.dumps(HAND_MADE))
+    if field in ("algebra", "window"):
+        obj[field] = value
+    else:
+        obj["images"][0][field] = value
+    path = tmp_path / "hand.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "--algebra", "1,0", "rigidity-check", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: cannot load pseudo-identity data: TypeError: {problem}"
+
+
+def test_rigidity_check_input_reads_integer_coefficients(capsys, tmp_path):
+    obj = json.loads(json.dumps(HAND_MADE))
+    for item in obj["images"]:
+        item["f"], item["g"] = int(item["f"]), int(item["g"])
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "--algebra", "1,0", "rigidity-check", "--input", str(path), "--format", "json")
+    expected = run(capsys, "--algebra", "1,0", "rigidity-check", "--input", write_hand_made(tmp_path),
+                   "--format", "json")
+    assert (code, out.replace(str(path), "?")) == (expected[0], expected[1].replace(str(tmp_path / "hand.json"), "?"))
+    assert code == 0
+
+
 def test_rigidity_check_naturality_failure_names_both_sides(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "construct_conjugation", doubled_at((0, 0, 1)))
     path = write_hand_made(tmp_path)

@@ -406,6 +406,43 @@ def test_loader_rejects_malformed_complexes(degrees, differentials, problem):
         loads_complex(text)
 
 
+@pytest.mark.parametrize(
+    "algebra, degrees, differentials, problem",
+    [
+        # int() would have read each of these silently: 1.5 as 1, 1.9 as 1,
+        # 0.7 as 0 and true as 1
+        ("[1,0]", '{"0":[0],"1":[0]}', '{"0":[[[[[0],1.5,1]]]]}', "numerator or denominator 1.5"),
+        ("[1,0]", '{"0":[0],"1":[0]}', '{"0":[[[[[0],1,2.0]]]]}', "numerator or denominator 2.0"),
+        ("[1,0]", '{"0":[0],"1":[0]}', '{"0":[[[[[0],true,1]]]]}', "numerator or denominator True"),
+        ("[1.9,0]", '{"0":[0]}', "{}", "algebra parameter 1.9"),
+        ("[1,false]", '{"0":[0]}', "{}", "algebra parameter False"),
+        ("[1,0]", '{"0":[0.7]}', "{}", "vertex 0.7"),
+        ("[1,0]", '{"0":[true]}', "{}", "vertex True"),
+        ("[1,0]", '{"0":[0],"1":[0]}', '{"0":[[[[[0.0],1,1]]]]}', "arrow 0.0"),
+        ("[1,0]", '{"0":[0],"1":[0]}', '{"0":[[[[["0"],1,1]]]]}', "arrow '0'"),
+    ],
+)
+def test_loader_reads_only_json_integers(algebra, degrees, differentials, problem):
+    text = (
+        f'{{"schema":1,"algebra":{algebra},'
+        f'"degrees":{degrees},"differentials":{differentials}}}'
+    )
+    with pytest.raises(ValueError) as info:
+        loads_complex(text)
+    assert str(info.value) == f"malformed complex: TypeError: {problem} is not an integer"
+
+
+def test_the_loader_keeps_a_fraction_that_is_not_an_integer():
+    head = '{"schema":1,"algebra":[1,0],"degrees":{"0":[0],"1":[0]},"differentials":'
+    loaded = loads_complex(head + '{"0":[[[[[0],3,2],[[0],-4,2]]]]}}')
+    # 3/2 a(0) - 4/2 a(0) is -1/2 a(0), a Fraction; 6/3 a(0) is the int 2 times a(0)
+    (entry,) = loaded.diffs[0][0]
+    assert list(entry.terms()) == [(Path(0, (0,)), Fraction(-1, 2))]
+    whole = loads_complex(head + '{"0":[[[[[0],6,3]]]]}}')
+    assert [type(c) for _, c in whole.diffs[0][0][0].terms()] == [int]
+    assert dumps_complex(whole) == dumps_complex(loads_complex(head + '{"0":[[[[[0],2,1]]]]}}'))
+
+
 def test_loader_drops_degrees_without_summands():
     spec = AlgebraSpec(1, 0)
     head = '{"schema_version":1,"algebra":[1,0],'

@@ -168,3 +168,102 @@ def test_linalg_agrees_with_sympy(rational):
                 assert {j: x for j, x in rebuilt.items() if x} == {
                     j: Fraction(x) for j, x in rhs.items() if x
                 }, trial
+
+
+# -- Differential test against an all-Fraction reference ---------------------
+#
+# Rows are reduced on ints and build a Fraction only where a pivot is not a
+# unit.  The reference below eliminates on Fractions throughout, to the
+# reduced echelon form, so every answer it gives is unique: the rank, the
+# nullspace vector with 1 at each free column and 0 at the others, and the
+# coefficients of rhs over the generators kept as independent, in order.
+
+_ENTRIES = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(4, 2)]
+)
+
+
+def _matrix(ncols: int, max_rows: int):
+    row = st.lists(_ENTRIES, min_size=ncols, max_size=ncols).map(
+        lambda xs: {j: x for j, x in enumerate(xs) if x}
+    )
+    return st.lists(row, max_size=max_rows)
+
+
+def _reference_rref(rows, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Pivot columns and the nonzero rows of the reduced echelon form."""
+    m = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        below = [i for i in range(r, len(m)) if m[i][col]]
+        if not below:
+            continue
+        m[r], m[below[0]] = m[below[0]], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                m[i] = [x - m[i][col] * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return pivots, m[: len(pivots)]
+
+
+def _reference_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
+    pivots, rref = _reference_rref(rows, ncols)
+    basis = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        vec = {free: Fraction(1)}
+        vec.update({p: -r[free] for p, r in zip(pivots, rref) if r[free]})
+        basis.append(vec)
+    return basis
+
+
+def _reference_solve(relations, generators, rhs, ncols: int) -> dict[int, Fraction] | None:
+    """rhs over the generators that raise the rank in turn, after the relations."""
+    span: list[dict] = []
+    kept: list[int] = []
+    for idx, vec in enumerate(relations + generators):
+        if len(_reference_rref(span + [vec], ncols)[0]) > len(span):
+            span.append(vec)
+            kept += [idx - len(relations)] if idx >= len(relations) else []
+    # the columns are independent, so rhs has at most one expansion over them
+    columns = span + [rhs]
+    system = [{k: col[j] for k, col in enumerate(columns) if col.get(j)} for j in range(ncols)]
+    pivots, rref = _reference_rref(system, len(columns))
+    if len(span) in pivots:
+        return None
+    values = {p: r[-1] for p, r in zip(pivots, rref)}
+    first = len(span) - len(kept)
+    return {idx: values[first + k] for k, idx in enumerate(kept) if values.get(first + k)}
+
+
+def _assert_normal_form(vec) -> None:
+    for c in vec.values():
+        assert (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1), vec
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_linalg_agrees_with_an_all_fraction_reference(data):
+    ncols = data.draw(st.integers(min_value=1, max_value=5))
+    rows = data.draw(_matrix(ncols, 6))
+    pivots, _ = _reference_rref(rows, ncols)
+    assert rank(rows) == len(pivots)
+    kernel = nullspace(rows, ncols)
+    assert kernel == _reference_nullspace(rows, ncols)
+    for vec in kernel:
+        _assert_normal_form(vec)
+
+    relations = data.draw(_matrix(ncols, 2))
+    generators = data.draw(_matrix(ncols, 4))
+    solver = SpanSolver(relations)
+    for gen in generators:
+        solver.add_generator(gen)
+    for pivot, row, combo in solver._rows:
+        assert row[pivot] == 1
+        _assert_normal_form(row)
+        _assert_normal_form(combo)
+    for rhs in data.draw(_matrix(ncols, 3)):
+        got = solver.solve(rhs)
+        assert got == _reference_solve(relations, generators, rhs, ncols)
+        assert got is None or all(type(c) is Fraction for c in got.values())
