@@ -24,13 +24,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 
 from .algebra import AlgebraSpec
 from .basismaps import hom_dim, in_phi, in_psi, irr_targets_quadruple, phi_map, psi_map
 from .complexes import (
     SCHEMA_VERSION,
+    _INT_TEXT,
     add_chain_maps,
     compose_chain_maps,
     hom_space_dimension,
@@ -126,7 +126,7 @@ def _parse_point(spec: AlgebraSpec, text: str):
     if body[:1] == "(" and body[-1:] == ")":
         body = body[1:-1]
     parts = body.split(",")
-    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", p) for p in parts):
+    if not all(_INT_TEXT.fullmatch(p) for p in parts):
         raise UsageError(f"cannot parse {text!r} as a vertex or quadruple")
     numbers = [int(p) for p in parts]
     if len(numbers) == 3:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -906,6 +907,25 @@ def _json_ints(values, what: str) -> tuple[int, ...]:
     return out
 
 
+# An integer in text, as the loaders and the CLI read it: ASCII digits
+# with an optional sign, whitespace around.
+_INT_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _degree_keys(table: dict, what: str) -> dict:
+    """``table`` keyed by degree; ValueError on a key that ``_INT_TEXT`` does
+    not match or on two keys for one degree."""
+    spelled, out = {}, {}
+    for key, value in table.items():
+        if not (isinstance(key, str) and _INT_TEXT.fullmatch(key)):
+            raise ValueError(f"malformed complex: {what} key {key!r} is not an integer")
+        i = int(key)
+        if i in out:
+            raise ValueError(f"malformed complex: {what} keys {spelled[i]!r} and {key!r} name one degree")
+        spelled[i], out[i] = key, value
+    return out
+
+
 def complex_to_obj(c: ProjComplex) -> dict:
     diffs = {}
     for i, mat in sorted(c.diffs.items()):
@@ -940,10 +960,10 @@ def complex_from_obj(obj: dict) -> ProjComplex:
         raise ValueError(f"unsupported schema {version!r}")
     try:
         spec = AlgebraSpec(*_json_ints(obj["algebra"][:2], "algebra parameter"))
-        summands = {int(i): _json_ints(s, "vertex") for i, s in obj["degrees"].items()}
+        degrees = _degree_keys(obj["degrees"], "degrees")
+        summands = {i: _json_ints(s, "vertex") for i, s in degrees.items()}
         diffs = {}
-        for key, rows in obj.get("differentials", {}).items():
-            i = int(key)
+        for i, rows in _degree_keys(obj.get("differentials", {}), "differentials").items():
             row_verts = summands.get(i + 1, ())
             mat = []
             for r, row in enumerate(rows):

@@ -109,25 +109,21 @@ class GammaHom:
     (``rigidity.pseudo_identity_from_obj``).  Morphisms enter the
     package only through these.
 
-    A few internal operations build their result with the trusted
-    constructor ``_trusted_hom``, which checks nothing, because the
-    invariant holds for the output whenever it holds for the inputs:
+    The trusted constructor ``_trusted_hom`` checks nothing.  Its callers
+    keep the invariant of their valid inputs:
 
-    - ``gamma_compose`` keeps the outer endpoints of two valid, composable
-      morphisms, sets each coefficient only after testing its cone, and
-      turns the kernel's int 0 back into ``Fraction(0)``;
-    - ``invert_hom`` keeps the endpoints, and each inverse coefficient is
-      nonzero only where the input coefficient was;
-    - ``hom_add`` (same algebra and endpoints) and ``hom_scale`` (after
-      coercing the scalar to a Fraction) make a coefficient nonzero only
-      where some input coefficient was;
-    - ``rigidity._generator_hom`` builds the generator named by a key of
-      ``rigidity.generator_keys``, which listed the key only after
-      checking its vertices and its cone;
-    - ``rigidity.conjugation_data`` builds each key's image with
-      ``compose_coeffs`` on the ``scaled`` int numerators, which sets a
-      coefficient only under its cone flag, and turns each numerator and
-      denominator into a reduced Fraction (zero as ``Fraction(0)``).
+    - ``gamma_compose`` keeps the outer endpoints, sets each coefficient
+      only after testing its cone, and turns the kernel's int 0 into
+      ``Fraction(0)``; ``hom_add`` (same algebra and endpoints) and
+      ``hom_scale`` (scalar coerced to a Fraction) make a coefficient
+      nonzero only where an input coefficient was;
+    - ``_scaled_hom`` builds a morphism from a ``scaled`` triple for
+      ``invert_hom`` (nonzero only where the input was),
+      ``rigidity._generator_hom`` (a key of ``generator_keys``, listed
+      after its cone was checked), ``PseudoIdentityData.image`` (a triple
+      from a checked GammaHom, or from ``compose_coeffs``, which sets a
+      coefficient only under its cone flag) and each entry of
+      ``construct_conjugation`` (its seed solve checks the g cone).
     """
 
     spec: AlgebraSpec
@@ -153,7 +149,6 @@ class GammaHom:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _trusted_hom(
@@ -225,7 +220,7 @@ def compose_coeffs(f2, g2, f1, g1, in_f: bool, in_g: bool):
     (0, 0)
     >>> compose_coeffs(two, _ZERO, _ZERO, three, True, False)
     (0, 0)
-    >>> compose_coeffs(two, _ZERO, _ONE, three, True, True)
+    >>> compose_coeffs(two, _ZERO, Fraction(1), three, True, True)
     (Fraction(2, 1), Fraction(6, 1))
     >>> compose_coeffs(Fraction(1, 2), _ZERO, Fraction(2, 3), Fraction(1, 3), True, True)
     (Fraction(1, 3), Fraction(1, 6))
@@ -252,8 +247,8 @@ def compose_coeffs(f2, g2, f1, g1, in_f: bool, in_g: bool):
 def scaled(h: GammaHom) -> tuple[int, int, int]:
     """Ints (F, G, D) with F/D = f_coeff, G/D = g_coeff and D > 0, D the lcm of the denominators.
 
-    Reads the ``Fraction`` slots directly: the ``numerator`` and
-    ``denominator`` properties are Python-level calls.
+    Then gcd(F, G, D) = 1, so equal triples mean equal morphisms.  Reads
+    the ``Fraction`` slots, not the Python-level ``numerator`` properties.
 
     >>> scaled(GammaHom(AlgebraSpec(1, 0), (0, 0, 0), (0, 0, 0), Fraction(-1, 2), Fraction(1, 3)))
     (-3, 2, 6)
@@ -264,6 +259,31 @@ def scaled(h: GammaHom) -> tuple[int, int, int]:
         return f._numerator, g._numerator, df
     d = math.lcm(df, dg)
     return f._numerator * (d // df), g._numerator * (d // dg), d
+
+
+def normal_triple(f: int, g: int, d: int) -> tuple[int, int, int]:
+    """(f, g, d), d > 0, over gcd(f, g, d): the triple ``scaled`` gives for f/d, g/d.
+
+    >>> normal_triple(4, -2, 6), normal_triple(0, 0, 5)
+    ((2, -1, 3), (0, 0, 1))
+    """
+    c = math.gcd(f, g, d)
+    return (f, g, d) if c == 1 else (f // c, g // c, d // c)
+
+
+def scaled_inverse(f: int, g: int, d: int) -> tuple[int, int, int]:
+    """The normal triple of ``invert_hom`` on (f, g, d), f != 0: (d*f, -g*d) over f*f.
+
+    >>> scaled_inverse(2, 1, 3)  # (2/3 + 1/3 g)^(-1) = 3/2 - 3/4 g
+    (6, -3, 4)
+    """
+    return normal_triple(d * f, -g * d, f * f)
+
+
+def _scaled_hom(spec: AlgebraSpec, source: GammaVertex, target: GammaVertex, triple) -> GammaHom:
+    """The morphism with ``scaled`` triple (F, G, D), trusted: the caller vouches for its cones."""
+    f, g, d = triple
+    return _trusted_hom(spec, source, target, Fraction(f, d), Fraction(g, d))
 
 
 def gamma_compose(second: GammaHom, first: GammaHom) -> GammaHom:
@@ -292,9 +312,7 @@ def invert_hom(h: GammaHom) -> GammaHom:
     """
     if not is_isomorphism(h):
         raise ValueError("morphism is not invertible")
-    inverse = _ONE / h.f_coeff
-    g_coeff = -h.g_coeff * inverse * inverse if h.g_coeff else _ZERO
-    return _trusted_hom(h.spec, h.source, h.target, inverse, g_coeff)
+    return _scaled_hom(h.spec, h.source, h.target, scaled_inverse(*scaled(h)))
 
 
 def radical_degree(h: GammaHom):

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 from typing import NamedTuple
 
@@ -59,13 +60,11 @@ from .complexes import (
     shift,
 )
 from .gamma import (
-    _ONE,
-    _ZERO,
     GammaHom,
     GammaVertex,
     _in_F,
     _in_G,
-    _trusted_hom,
+    _scaled_hom,
     check_vertex,
     compose_coeffs,
     gamma_compose,
@@ -78,7 +77,9 @@ from .gamma import (
     is_isomorphism,
     is_shifted_projective,
     is_vertex,
+    normal_triple,
     scaled,
+    scaled_inverse,
     suspend_hom,
     suspend_vertex,
     theta_hom,
@@ -155,81 +156,90 @@ def generator_keys(
     return out
 
 
-# Coefficients (f, g) of the generator of each kind, as ints over the denominator 1.
-_GENERATOR_COEFFS = {"f": (1, 0), "g": (0, 1)}
+# The ``scaled`` triple (F, G, D) of the generator of each kind.
+_GENERATORS = {"f": (1, 0, 1), "g": (0, 1, 1)}
+
+
+def _compose(second: tuple, first: tuple, cones: tuple[bool, bool]) -> tuple[int, int, int]:
+    """The triple of ``second after first`` from theirs, over the product of the denominators."""
+    f, g = compose_coeffs(second[0], second[1], first[0], first[1], *cones)
+    return f, g, second[2] * first[2]
 
 
 def _generator_hom(spec: AlgebraSpec, key: tuple[str, GammaVertex, GammaVertex]) -> GammaHom:
     """The generator named by a key of generator_keys, which already checked its cone."""
     kind, source, target = key
-    f_coeff, g_coeff = (_ONE, _ZERO) if kind == "f" else (_ZERO, _ONE)
-    return _trusted_hom(spec, source, target, f_coeff, g_coeff)
-
-
-class _ReducedFractions(dict):
-    """(numerator, denominator) -> the reduced Fraction, built on first lookup."""
-
-    def __missing__(self, key: tuple[int, int]) -> Fraction:
-        value = self[key] = Fraction(*key)
-        return value
+    return _scaled_hom(spec, source, target, _GENERATORS[kind])
 
 
 # -- Pseudo-identity data ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PseudoIdentityData:
     """Images of all generator morphisms on a rectangular window.
 
     The morphism grid is the one over conjugation_domain(spec, window);
     the constructor insists on exactly that key set so that the
-    inductive construction never runs out of data.
+    inductive construction never runs out of data.  The sweeps read each
+    image as its ``scaled`` triple, kept in the order given; ``image`` and
+    ``images`` build GammaHoms.  Data are equal when spec, window and
+    images, in order, are.
     """
 
     spec: AlgebraSpec
     window: Window
-    images: tuple[tuple[tuple[str, GammaVertex, GammaVertex], GammaHom], ...]
 
-    def __post_init__(self):
-        domain = conjugation_domain(self.spec, self.window)
-        expected = generator_keys(self.spec, domain)
-        index = {}
-        for key, hom in self.images:
+    def __init__(self, spec: AlgebraSpec, window: Window, images):
+        keys = generator_keys(spec, conjugation_domain(spec, window))
+        triples = {}
+        for key, hom in images:
             kind, source, target = key
-            if key not in expected:
+            if key not in keys:
                 raise ValueError(f"unexpected image key {kind} {tuple(source)} -> {tuple(target)}")
-            if key in index:
+            if key in triples:
                 raise ValueError(f"duplicate image key {kind} {tuple(source)} -> {tuple(target)}")
-            if (
-                hom.spec is not self.spec and hom.spec != self.spec
-                or hom.source != source
-                or hom.target != target
-            ):
+            if hom.spec != spec or hom.source != source or hom.target != target:
                 raise ValueError(f"image of {kind} {tuple(source)} -> {tuple(target)} moves endpoints")
-            index[key] = hom
-        if len(index) < len(expected):
-            raise ValueError(f"missing images for {len(expected) - len(index)} generators")
-        vars(self).update(_index=index, _domain=domain)
+            triples[key] = scaled(hom)
+        if len(triples) < len(keys):
+            raise ValueError(f"missing images for {len(keys) - len(triples)} generators")
+        vars(self).update(spec=spec, window=window, _keys=keys, _triples=triples)
+
+    def __eq__(self, other):
+        if not isinstance(other, PseudoIdentityData):
+            return NotImplemented
+        return (self.spec, self.window, list(self._triples.items())) == (
+            other.spec, other.window, list(other._triples.items()))
+
+    def __hash__(self):
+        return hash((self.spec, self.window))
 
     def vertices(self) -> tuple[GammaVertex, ...]:
-        return self._domain
+        return conjugation_domain(self.spec, self.window)
+
+    @cached_property
+    def _keys(self) -> dict:
+        return generator_keys(self.spec, self.vertices())
 
     def image(self, kind: str, source: GammaVertex, target: GammaVertex) -> GammaHom:
-        return self._index[(kind, source, target)]
+        return _scaled_hom(self.spec, source, target, self._triples[kind, source, target])
+
+    @cached_property
+    def images(self) -> tuple[tuple[tuple[str, GammaVertex, GammaVertex], GammaHom], ...]:
+        return tuple((key, self.image(*key)) for key in self._triples)
 
 
-def _trusted_data(spec: AlgebraSpec, window: Window, images) -> PseudoIdentityData:
-    """PseudoIdentityData from one valid image per generator key, in key order; no checks."""
+def _trusted_data(spec: AlgebraSpec, window: Window, triples: dict) -> PseudoIdentityData:
+    """PseudoIdentityData from a normal triple per generator key, in key order; no checks."""
     data = object.__new__(PseudoIdentityData)
-    vars(data).update(spec=spec, window=window, images=images, _index=dict(images),
-                      _domain=conjugation_domain(spec, window))
+    vars(data).update(spec=spec, window=window, _triples=triples)
     return data
 
 
 def identity_data(spec: AlgebraSpec, window: Window) -> PseudoIdentityData:
-    domain = conjugation_domain(spec, window)
-    images = tuple((key, _generator_hom(spec, key)) for key in generator_keys(spec, domain))
-    return _trusted_data(spec, window, images)
+    keys = generator_keys(spec, conjugation_domain(spec, window))
+    return _trusted_data(spec, window, {key: _GENERATORS[key[0]] for key in keys})
 
 
 def conjugation_data(
@@ -239,28 +249,27 @@ def conjugation_data(
 
     Valid pseudo-identity data as soon as the family is the identity on
     every shifted-projective vertex.  Each image is composed on the
-    ``scaled`` int numerators of the two family entries, over the product
-    of their denominators, and each distinct value is reduced to a
-    Fraction once per call.
+    ``scaled`` triples of the two family entries, over the product of
+    their denominators, and brought to normal form.
     """
     domain = conjugation_domain(spec, window)
-    inverses = {v: invert_hom(unit_family[v]) for v in domain}
-    if any(inverses[v].spec != spec or inverses[v].source != v for v in domain):
-        raise ValueError("the unit family has an entry that is not an automorphism of its vertex")
-    inverses = {v: scaled(h) for v, h in inverses.items()}
-    units = {v: scaled(unit_family[v]) for v in domain}
-    reduced = _ReducedFractions()
-    images = []
+    units = {}
+    for v in domain:
+        h = unit_family[v]
+        if h.spec != spec or h.source != v or not is_isomorphism(h):
+            raise ValueError("the unit family has an entry that is not an automorphism of its vertex")
+        units[v] = scaled(h)
+    inverses = {v: scaled_inverse(*triple) for v, triple in units.items()}
+    triples = {}
     for key, (in_f, in_g) in generator_keys(spec, domain).items():
         kind, source, target = key
         fi, gi, di = inverses[source]
         fu, gu, du = units[target]
-        f, g = _GENERATOR_COEFFS[kind]
+        f, g, _ = _GENERATORS[kind]
         f, g = compose_coeffs(f, g, fi, gi, in_f, in_g)
         f, g = compose_coeffs(fu, gu, f, g, in_f, in_g)
-        d = du * di
-        images.append((key, _trusted_hom(spec, source, target, reduced[f, d], reduced[g, d])))
-    return _trusted_data(spec, window, tuple(images))
+        triples[key] = normal_triple(f, g, du * di)
+    return _trusted_data(spec, window, triples)
 
 
 def _random_fraction(rng: Random, nonzero: bool) -> Fraction:
@@ -299,40 +308,34 @@ def validate_pseudo_identity(F: PseudoIdentityData) -> list[str]:
     and that the images respect composition on every composable pair of
     window generators.  The composite of two generators is one generator
     or zero, so each pair compares F of it with the product of the images.
-    Images are read once each as ``scaled`` ints, and two sides are
-    compared by cross-multiplying their denominators.
+    Images are read as their stored triples, and two sides are compared
+    by cross-multiplying their denominators.
     """
     spec = F.spec
     problems = []
-    keys = generator_keys(spec, F.vertices())
-    image = {key: scaled(h) for key, h in F._index.items()}
+    keys = F._keys
+    image = F._triples
     projective = {v for v in F.vertices() if is_shifted_projective(spec, v) is not None}
     outgoing: dict[GammaVertex, list[tuple[str, GammaVertex, GammaVertex]]] = {}
     for key in keys:
         outgoing.setdefault(key[1], []).append(key)
         kind, source, target = key
-        if source in projective and target in projective:
-            f, g, d = image[key]
-            gen_f, gen_g = _GENERATOR_COEFFS[kind]
-            if f != gen_f * d or g != gen_g * d:
-                problems.append(
-                    f"{kind} {tuple(source)} -> {tuple(target)} between shifted projectives is moved"
-                )
+        if source in projective and target in projective and image[key] != _GENERATORS[kind]:
+            problems.append(
+                f"{kind} {tuple(source)} -> {tuple(target)} between shifted projectives is moved"
+            )
     # the cone outcomes of each pair of endpoints that some generator joins
     cones = {(source, target): flags for (_, source, target), flags in keys.items()}
     for first_key in keys:
         kind1, source, middle = first_key
-        f1, g1, d1 = image[first_key]
         for second_key in outgoing.get(middle, ()):
             kind2, _, target = second_key
             cone = cones.get((source, target))
             if cone is None:
                 continue  # no generator joins source to target: both sides are zero
-            f2, g2, d2 = image[second_key]
-            rf, rg = compose_coeffs(f2, g2, f1, g1, *cone)
+            rf, rg, d = _compose(image[second_key], image[first_key], cone)
             kind = "f" if kind1 == kind2 == "f" else "g" if kind1 != kind2 else None
             lf, lg, dl = image.get((kind, source, target), (0, 0, 1))
-            d = d1 * d2
             if rf * dl != lf * d or rg * dl != lg * d:
                 problems.append(
                     f"composition broken: {kind2} after {kind1} from "
@@ -380,35 +383,38 @@ def identity_family(spec: AlgebraSpec, vertices: tuple[GammaVertex, ...]) -> Aut
 
 def _seed(
     F: PseudoIdentityData, phi: dict, source: GammaVertex, target: GammaVertex, left: bool
-) -> GammaHom:
+) -> None:
     """Solve phi_target o F(f) o phi_source^(-1) = f for the f generator source -> target.
 
-    The unknown automorphism sits at the target when ``left`` holds and at
-    the source otherwise.  The known side gives y = lam*f + mu*g':
-    F(f) o phi_source^(-1) (left) or phi_target o F(f) (right), and the
-    solution is lam * id + mu * g', inverted in the left case.
+    The unknown automorphism sits at the target when ``left`` holds and
+    at the source otherwise, and is stored in ``phi`` as a normal
+    ``scaled`` triple.  The known side gives y = lam*f + mu*g' as a
+    triple (F, G, D): F(f) o phi_source^(-1) (left) or phi_target o F(f)
+    (right), composed under the cones of source -> target.  The solution
+    is lam * id + mu * g', that is (F, G, D) in normal form, and in the
+    left case its inverse (D*F, -G*D, F**2), from ``scaled_inverse``.
     """
+    key = ("f", source, target)
+    cones, image = F._keys[key], F._triples[key]
     at = target if left else source
-    image = F.image("f", source, target)
     if left:
-        y = gamma_compose(image, invert_hom(phi[source]))
+        y = _compose(image, scaled_inverse(*phi[source]), cones)
     else:
-        y = gamma_compose(phi[target], image)
-    if y.f_coeff == 0:
+        y = _compose(phi[target], image, cones)
+    if y[0] == 0:
         raise InvalidPseudoIdentity(
             f"image of f {tuple(source)} -> {tuple(target)} lost its leading part"
         )
-    try:
-        candidate = GammaHom(F.spec, at, at, y.f_coeff, y.g_coeff)
-    except ValueError as exc:
-        raise InvalidPseudoIdentity(str(exc)) from exc
-    inverse = invert_hom(candidate)
-    composite = gamma_compose(inverse, y) if left else gamma_compose(y, inverse)
-    if (composite.f_coeff, composite.g_coeff) != (1, 0):
+    if y[1] and not _in_G(F.spec, at, at):
+        raise InvalidPseudoIdentity(f"no g generator {tuple(at)} -> {tuple(at)}")
+    candidate = normal_triple(*y)
+    inverse = scaled_inverse(*candidate)
+    f, g, d = _compose(inverse, y, cones) if left else _compose(y, inverse, cones)
+    if f != d or g:
         raise InvalidPseudoIdentity(
             f"seed solve failed at {tuple(at)} (image of f {tuple(source)} -> {tuple(target)})"
         )
-    return inverse if left else candidate
+    phi[at] = inverse if left else candidate
 
 
 def construct_conjugation(F: PseudoIdentityData) -> AutomorphismFamily:
@@ -417,37 +423,32 @@ def construct_conjugation(F: PseudoIdentityData) -> AutomorphismFamily:
     Starts from the identity on the projective column a = 0, walks up
     that column, seeds each column to the right through the bottom
     diagonal and walks it up, then mirrors the sweep to the left of the
-    projectives (bottom and next-to-bottom seeds first, then up).
+    projectives (bottom and next-to-bottom seeds first, then up).  The
+    sweep runs on triples; each entry becomes a GammaHom once, at the end.
     Identity data produces the identity family exactly.
     """
     spec = F.spec
     a_lo, a_hi, b_lo, b_hi = F.window
-    phi: dict[GammaVertex, GammaHom] = {}
+    phi: dict[GammaVertex, tuple[int, int, int]] = {}
     for i in range(spec.n):
         delta = spec.m if i == 0 else 0
-        a_cap = min(a_hi, b_hi + delta)
         for b in range(-delta, 1):
-            v = GammaVertex(i, 0, b)
-            phi[v] = identity_hom(spec, v)
+            phi[GammaVertex(i, 0, b)] = _GENERATORS["f"]
         for b in range(0, b_hi):
-            source, target = GammaVertex(i, 0, b), GammaVertex(i, 0, b + 1)
-            phi[target] = _seed(F, phi, source, target, left=True)
-        for a in range(0, a_cap):
-            source = GammaVertex(i, a, a + 1 - delta)
-            target = GammaVertex(i, a + 1, a + 1 - delta)
-            phi[target] = _seed(F, phi, source, target, left=True)
+            _seed(F, phi, GammaVertex(i, 0, b), GammaVertex(i, 0, b + 1), left=True)
+        for a in range(0, min(a_hi, b_hi + delta)):
+            bottom = GammaVertex(i, a + 1, a + 1 - delta)
+            _seed(F, phi, GammaVertex(i, a, a + 1 - delta), bottom, left=True)
             for b in range(a + 1 - delta, b_hi):
-                source, target = GammaVertex(i, a + 1, b), GammaVertex(i, a + 1, b + 1)
-                phi[target] = _seed(F, phi, source, target, left=True)
+                _seed(F, phi, GammaVertex(i, a + 1, b), GammaVertex(i, a + 1, b + 1), left=True)
         for a in range(-1, a_lo - 1, -1):
             below = GammaVertex(i, a, a + 1 - delta)
-            phi[below] = _seed(F, phi, below, GammaVertex(i, a + 1, a + 1 - delta), left=False)
-            bottom = GammaVertex(i, a, a - delta)
-            phi[bottom] = _seed(F, phi, bottom, below, left=False)
+            _seed(F, phi, below, GammaVertex(i, a + 1, a + 1 - delta), left=False)
+            _seed(F, phi, GammaVertex(i, a, a - delta), below, left=False)
             for b in range(a + 1 - delta, b_hi):
-                source, target = GammaVertex(i, a, b), GammaVertex(i, a, b + 1)
-                phi[target] = _seed(F, phi, source, target, left=True)
-    return AutomorphismFamily(spec, tuple(sorted(phi.items())))
+                _seed(F, phi, GammaVertex(i, a, b), GammaVertex(i, a, b + 1), left=True)
+    family = sorted(phi.items())
+    return AutomorphismFamily(spec, tuple((v, _scaled_hom(spec, v, v, t)) for v, t in family))
 
 
 class NaturalityCounterexample(NamedTuple):
@@ -458,22 +459,21 @@ class NaturalityCounterexample(NamedTuple):
     rhs: GammaHom
 
 
-def _unnatural(
-    spec: AlgebraSpec, vertices: tuple[GammaVertex, ...], entries: dict, images: dict
-):
-    """Each generator key U -> V, in order, with entries[V] o images[key] != key o entries[U].
+def _unnatural(keys: dict, entries: dict, images: dict):
+    """Each key U -> V of ``keys``, in order, with entries[V] o images[key] != key o entries[U].
 
-    ``entries`` holds each vertex's automorphism as ``scaled`` ints and
-    ``images`` each key's image as a GammaHom, scaled here; both sides are
-    composed with ``compose_coeffs`` and compared by cross-multiplying.
+    ``keys`` is a ``generator_keys`` dict, and ``entries`` and ``images``
+    hold ``scaled`` triples; both sides are composed with
+    ``compose_coeffs`` and compared by cross-multiplying.
     """
-    for key, (in_f, in_g) in generator_keys(spec, vertices).items():
+    for key, (in_f, in_g) in keys.items():
         kind, source, target = key
-        fi, gi, di = scaled(images[key])
+        fi, gi, di = images[key]
         fa, ga, da = entries[target]
         fb, gb, db = entries[source]
+        gen_f, gen_g, _ = _GENERATORS[kind]
         lf, lg = compose_coeffs(fa, ga, fi, gi, in_f, in_g)
-        rf, rg = compose_coeffs(*_GENERATOR_COEFFS[kind], fb, gb, in_f, in_g)
+        rf, rg = compose_coeffs(gen_f, gen_g, fb, gb, in_f, in_g)
         d = da * di
         if lf * db != rf * d or lg * db != rg * d:
             yield key
@@ -484,8 +484,9 @@ def verify_naturality(
 ) -> NaturalityCounterexample | None:
     """First generator with phi_U o F(h) != h o phi_V, or None when natural.
 
-    The family entries are scaled once each and the images are swept by
-    ``_unnatural``; the counterexample is composed with ``gamma_compose``.
+    The family entries are scaled once each and swept by ``_unnatural``
+    against the stored image triples; the counterexample is composed with
+    ``gamma_compose``.
     ValueError when phi is over another algebra or misses a data vertex.
     """
     spec = F.spec
@@ -496,11 +497,11 @@ def verify_naturality(
         if v not in family:
             raise ValueError(f"family has no automorphism at {tuple(v)}")
     entries = {v: scaled(family[v]) for v in F.vertices()}
-    key = next(_unnatural(spec, F.vertices(), entries, F._index), None)
+    key = next(_unnatural(F._keys, entries, F._triples), None)
     if key is None:
         return None
     kind, source, target = key
-    lhs = gamma_compose(family[target], F._index[key])
+    lhs = gamma_compose(family[target], F.image(*key))
     rhs = gamma_compose(_generator_hom(spec, key), family[source])
     return NaturalityCounterexample(kind, source, target, lhs, rhs)
 
@@ -720,8 +721,9 @@ def build_eta(spec: AlgebraSpec, omega: ConnectingIsoData) -> AutomorphismFamily
     for vertex in domain:
         build(vertex)
     entries = {v: scaled(h) for v, h in eta.items()}
-    generators = {key: _generator_hom(spec, key) for key in generator_keys(spec, domain)}
-    for kind, source, target in _unnatural(spec, domain, entries, generators):
+    keys = generator_keys(spec, domain)
+    generators = {key: _GENERATORS[key[0]] for key in keys}
+    for kind, source, target in _unnatural(keys, entries, generators):
         raise ValueError(f"eta is not natural at {kind} {tuple(source)} -> {tuple(target)}")
     for vertex in domain:
         sv = suspend_vertex(spec, vertex)

@@ -432,6 +432,39 @@ def test_loader_reads_only_json_integers(algebra, degrees, differentials, proble
     assert str(info.value) == f"malformed complex: TypeError: {problem} is not an integer"
 
 
+@pytest.mark.parametrize(
+    "degrees, differentials, message",
+    [
+        # int() read "1_0" as 10, and " +3 " and "3" as one degree, dropping a summand list
+        ('{"1_0":[0]}', "{}", "degrees key '1_0' is not an integer"),
+        ('{" +3 ":[0],"3":[0]}', "{}", "degrees keys ' +3 ' and '3' name one degree"),
+        ('{"0":[0],"1.0":[0]}', "{}", "degrees key '1.0' is not an integer"),
+        ('{"":[0]}', "{}", "degrees key '' is not an integer"),
+        ('{"\\u0663":[0]}', "{}", "degrees key '\u0663' is not an integer"),
+        ('{"0":[0],"1":[0]}', '{"0x0":[]}', "differentials key '0x0' is not an integer"),
+        (
+            '{"0":[0],"1":[0]}',
+            '{"0":[[[[[0],1,1]]]],"-0":[]}',
+            "differentials keys '0' and '-0' name one degree",
+        ),
+    ],
+)
+def test_degree_keys_are_signed_ascii_integers(degrees, differentials, message):
+    text = f'{{"schema":1,"algebra":[1,0],"degrees":{degrees},"differentials":{differentials}}}'
+    with pytest.raises(ValueError) as info:
+        loads_complex(text)
+    assert str(info.value) == f"malformed complex: {message}"
+
+
+def test_degree_keys_may_carry_a_sign_and_whitespace():
+    head = '{"schema":1,"algebra":[1,0],'
+    plain = loads_complex(head + '"degrees":{"0":[0],"1":[0]},"differentials":{"0":[[[[[0],1,1]]]]}}')
+    spelled = loads_complex(
+        head + '"degrees":{" -0 ":[0],"+1":[0]},"differentials":{"\\t0":[[[[[0],1,1]]]]}}'
+    )
+    assert dumps_complex(spelled) == dumps_complex(plain)
+
+
 def test_the_loader_keeps_a_fraction_that_is_not_an_integer():
     head = '{"schema":1,"algebra":[1,0],"degrees":{"0":[0],"1":[0]},"differentials":'
     loaded = loads_complex(head + '{"0":[[[[[0],3,2],[[0],-4,2]]]]}}')

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import fractions
+import json
 import sys
 from fractions import Fraction
 from random import Random
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALGEBRA_PARAMS
+from kbproj import gamma, rigidity
 from kbproj.algebra import AlgebraSpec
 from kbproj.complexes import (
     add_chain_maps,
@@ -29,6 +31,7 @@ from kbproj.gamma import (
     identity_hom,
     in_G,
     invert_hom,
+    scaled,
     suspend_vertex,
 )
 from kbproj.rigidity import (
@@ -110,9 +113,10 @@ def test_built_data_equals_the_checked_constructor_image_by_image(spec):
     for built in (conjugation_data(spec, window, unit), identity_data(spec, window)):
         checked = PseudoIdentityData(spec, window, built.images)
         assert built == checked
-        assert list(built._index) == list(checked._index) == list(generator_keys(spec, built.vertices()))
+        assert list(built._triples) == list(checked._triples) == list(generator_keys(spec, built.vertices()))
         for key, hom in checked.images:
             assert built.image(*key) == hom
+            assert built._triples[key] == checked._triples[key] == scaled(hom)
             assert type(built.image(*key).f_coeff) is type(built.image(*key).g_coeff) is Fraction
         assert built.vertices() == checked.vertices() == conjugation_domain(spec, window)
         assert pseudo_identity_to_obj(built) == pseudo_identity_to_obj(checked)
@@ -400,3 +404,137 @@ def test_families_and_unit_families_stay_over_their_algebra_and_vertex():
     for bad in (identity_hom(other, v), identity_hom(spec, w)):
         with pytest.raises(ValueError, match="not an automorphism of its vertex"):
             conjugation_data(spec, WINDOW, {**unit, v: bad})
+
+
+# -- The int seed against a morphism-level reference ------------------------------
+
+
+def _reference_seed(F, phi, source, target, left):
+    """The seed solve on GammaHoms: gamma_compose, invert_hom and the checked constructor."""
+    at = target if left else source
+    image = F.image("f", source, target)
+    if left:
+        y = gamma_compose(image, invert_hom(phi[source]))
+    else:
+        y = gamma_compose(phi[target], image)
+    if y.f_coeff == 0:
+        raise InvalidPseudoIdentity(
+            f"image of f {tuple(source)} -> {tuple(target)} lost its leading part"
+        )
+    try:
+        candidate = GammaHom(F.spec, at, at, y.f_coeff, y.g_coeff)
+    except ValueError as exc:
+        raise InvalidPseudoIdentity(str(exc)) from exc
+    inverse = invert_hom(candidate)
+    composite = gamma_compose(inverse, y) if left else gamma_compose(y, inverse)
+    assert (composite.f_coeff, composite.g_coeff) == (1, 0)
+    return inverse if left else candidate
+
+
+def reference_conjugation(F) -> AutomorphismFamily:
+    """construct_conjugation's sweep, in its order, with every seed solved on GammaHoms."""
+    spec = F.spec
+    a_lo, a_hi, _, b_hi = F.window
+    phi = {}
+
+    def seed(source, target, left):
+        phi[target if left else source] = _reference_seed(F, phi, source, target, left)
+
+    for i in range(spec.n):
+        delta = spec.m if i == 0 else 0
+        for b in range(-delta, 1):
+            phi[GammaVertex(i, 0, b)] = identity_hom(spec, GammaVertex(i, 0, b))
+        for b in range(0, b_hi):
+            seed(GammaVertex(i, 0, b), GammaVertex(i, 0, b + 1), True)
+        for a in range(0, min(a_hi, b_hi + delta)):
+            seed(GammaVertex(i, a, a + 1 - delta), GammaVertex(i, a + 1, a + 1 - delta), True)
+            for b in range(a + 1 - delta, b_hi):
+                seed(GammaVertex(i, a + 1, b), GammaVertex(i, a + 1, b + 1), True)
+        for a in range(-1, a_lo - 1, -1):
+            below = GammaVertex(i, a, a + 1 - delta)
+            seed(below, GammaVertex(i, a + 1, a + 1 - delta), False)
+            seed(GammaVertex(i, a, a - delta), below, False)
+            for b in range(a + 1 - delta, b_hi):
+                seed(GammaVertex(i, a, b), GammaVertex(i, a, b + 1), True)
+    return AutomorphismFamily(spec, tuple(sorted(phi.items())))
+
+
+def _three_kinds(data: PseudoIdentityData):
+    """The data as built, through the checked constructor, and through a JSON round trip."""
+    checked = PseudoIdentityData(data.spec, data.window, data.images)
+    loaded = pseudo_identity_from_obj(json.loads(json.dumps(pseudo_identity_to_obj(data))))
+    return data, checked, loaded
+
+
+def _corrupted(data: PseudoIdentityData, seed: int) -> PseudoIdentityData:
+    """The data with one f image between distinct vertices scaled, plus a g part where allowed."""
+    rng = Random(seed)
+    keys = [key for key in data._triples if key[0] == "f" and key[1] != key[2]]
+    key = keys[rng.randrange(len(keys))]
+    hom = data.image(*key)
+    g_coeff = hom.g_coeff + Fraction(1, 2) if in_G(data.spec, key[1], key[2]) else 0
+    return _with_image(data, key, hom.f_coeff * Fraction(7, 3), g_coeff)
+
+
+def _outcome(conjugate, data):
+    """The family's entries, or the message of the InvalidPseudoIdentity raised."""
+    try:
+        homs = conjugate(data).homs
+    except InvalidPseudoIdentity as exc:
+        return str(exc)
+    assert all(type(h.f_coeff) is type(h.g_coeff) is Fraction for _, h in homs)
+    return homs
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_int_seed_equals_the_morphism_level_reference(spec, seed):
+    window = (-2, 2, -2, 2)
+    built = random_pseudo_identity(spec, window, seed)
+    for data in (built, _corrupted(built, seed), identity_data(spec, window)):
+        for same in _three_kinds(data):
+            assert same == data
+            for key, hom in same.images:
+                assert same._triples[key] == scaled(same.image(*key)) == scaled(hom)
+            assert _outcome(construct_conjugation, same) == _outcome(reference_conjugation, same)
+    assert isinstance(_outcome(construct_conjugation, built), tuple)
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_int_seed_fails_where_the_reference_fails(seed):
+    spec, window = AlgebraSpec(1, 1), (-2, 2, -2, 2)
+    built = random_pseudo_identity(spec, window, seed)
+    for key, f_coeff, g_coeff in [
+        (("f", GammaVertex(0, 0, 0), GammaVertex(0, 0, 1)), 0, 0),
+        (("f", GammaVertex(0, 0, 0), GammaVertex(0, 1, 0)), 3, 1),
+        (("f", GammaVertex(0, -1, -2), GammaVertex(0, -1, -1)), 2, 5),
+    ]:
+        for data in _three_kinds(_with_image(built, key, f_coeff, g_coeff)):
+            message = _outcome(reference_conjugation, data)
+            assert isinstance(message, str)
+            assert _outcome(construct_conjugation, data) == message
+
+
+def test_gamma_homs_are_built_only_at_the_edges(monkeypatch):
+    """One GammaHom per unit-family entry and one per family entry; none per generator key."""
+    spec, window = AlgebraSpec(3, 2), (-2, 2, -2, 2)
+    domain = conjugation_domain(spec, window)
+    assert len(generator_keys(spec, domain)) > 10 * len(domain)
+    built = []
+    checked_init, trusted = GammaHom.__post_init__, gamma._trusted_hom
+
+    def counting_init(self):
+        built.append("checked")
+        checked_init(self)
+
+    def counting_trusted(*args):
+        built.append("trusted")
+        return trusted(*args)
+
+    monkeypatch.setattr(GammaHom, "__post_init__", counting_init)
+    monkeypatch.setattr(gamma, "_trusted_hom", counting_trusted)
+    assert not hasattr(rigidity, "_trusted_hom")  # rigidity builds its trusted ones through gamma
+    data = random_pseudo_identity(spec, window, 3)
+    family = construct_conjugation(data)
+    assert verify_naturality(family, data) is None
+    assert "trusted" in built and "checked" in built
+    assert len(built) <= 3 * len(domain)
