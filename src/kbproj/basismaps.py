@@ -11,15 +11,8 @@ what the verification sweeps compare against.
 
 from __future__ import annotations
 
-from .algebra import (
-    AlgebraSpec,
-    Path,
-    PathCombination,
-    factor_path,
-    max_path,
-    successor_power,
-)
-from .complexes import ChainMap, make_chain_map, mat_zero
+from .algebra import AlgebraSpec, Path, factor_path, max_path, successor_power
+from .complexes import ChainMap, _chain_map
 from .quadruples import Quadruple, build_complex, chain_tail_positions, in_calC
 
 
@@ -115,16 +108,6 @@ def hom_dim(spec: AlgebraSpec, q_source: Quadruple, q_target: Quadruple) -> int:
     return int(_in_phi(spec, q_target, q_source)) + int(_in_psi(spec, q_target, q_source))
 
 
-def _empty_components(spec, source, target):
-    comps = {}
-    for i in set(source.summands) & set(target.summands):
-        comps[i] = [
-            [PathCombination.zero() for _ in source.summand(i)]
-            for _ in target.summand(i)
-        ]
-    return comps
-
-
 def phi_map(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> ChainMap:
     """The unsigned basis map: factor path at the bottom, identities along
     the shared successor chain, and a tail-to-tail factor when the tops align.
@@ -133,31 +116,23 @@ def phi_map(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> Chai
         raise ValueError(f"phi not defined for {tuple(q_source)} -> {tuple(q_target)}")
     kp, up, lp, vp = q_target
     k, u, l, v = q_source
-    source = build_complex(spec, q_source)
-    target = build_complex(spec, q_target)
-    comps = _empty_components(spec, source, target)
-
-    def set_entry(i, row, col, combo):
-        comps[i][row][col] = combo
-
     # bottom component
     c_pos, _ = chain_tail_positions(spec, q_source, k)
     t_pos, _ = chain_tail_positions(spec, q_target, k)
     anchor = successor_power(spec, up, k - kp)
-    set_entry(k, t_pos, c_pos, PathCombination.of(factor_path(spec, u, anchor)))
+    terms = [(1, (k, t_pos, c_pos, factor_path(spec, u, anchor)))]
     # identities along the shared chain
     for i in range(k + 1, kp + lp + 1):
         c_pos, _ = chain_tail_positions(spec, q_source, i)
         t_pos, _ = chain_tail_positions(spec, q_target, i)
-        w = successor_power(spec, u, i - k)
-        set_entry(i, t_pos, c_pos, PathCombination.of(Path(w, ())))
+        terms.append((1, (i, t_pos, c_pos, Path(successor_power(spec, u, i - k), ()))))
     # tail to tail
     top = successor_power(spec, u, l)
     if k + l == kp + lp and v < top:
         _, c_tail = chain_tail_positions(spec, q_source, k + l - 1)
         _, t_tail = chain_tail_positions(spec, q_target, k + l - 1)
-        set_entry(k + l - 1, t_tail, c_tail, PathCombination.of(factor_path(spec, v, vp)))
-    return make_chain_map(source, target, {i: tuple(tuple(r) for r in m) for i, m in comps.items()})
+        terms.append((1, (k + l - 1, t_tail, c_tail, factor_path(spec, v, vp))))
+    return _chain_map(build_complex(spec, q_source), build_complex(spec, q_target), terms)
 
 
 def psi_map(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> ChainMap:
@@ -166,32 +141,25 @@ def psi_map(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> Chai
         raise ValueError(f"psi not defined for {tuple(q_source)} -> {tuple(q_target)}")
     kp, up, lp, vp = q_target
     k, u, l, v = q_source
-    source = build_complex(spec, q_source)
-    target = build_complex(spec, q_target)
-    comps = _empty_components(spec, source, target)
     sign = 1 if (k + l) % 2 == 0 else -1
     top = successor_power(spec, u, l)
-
+    terms = []
     if _psi_r1(spec, q_target, q_source):
         if v != top:
             # tail lands on the target chain one step below the top
             _, c_tail = chain_tail_positions(spec, q_source, k + l - 1)
             t_pos, _ = chain_tail_positions(spec, q_target, k + l - 1)
             anchor = successor_power(spec, up, k + l - 1 - kp)
-            comps[k + l - 1][t_pos][c_tail] = PathCombination.of(
-                factor_path(spec, v, anchor), sign
-            )
+            terms.append((sign, (k + l - 1, t_pos, c_tail, factor_path(spec, v, anchor))))
         c_pos, _ = chain_tail_positions(spec, q_source, k + l)
         t_pos, _ = chain_tail_positions(spec, q_target, k + l)
-        comps[k + l][t_pos][c_pos] = PathCombination.of(max_path(spec, top), sign)
+        terms.append((sign, (k + l, t_pos, c_pos, max_path(spec, top))))
     else:
         _, c_tail = chain_tail_positions(spec, q_source, k + l - 1)
         t_pos, _ = chain_tail_positions(spec, q_target, k + l - 1)
         anchor = successor_power(spec, up, lp)
-        comps[k + l - 1][t_pos][c_tail] = PathCombination.of(
-            factor_path(spec, v, anchor), sign
-        )
-    return make_chain_map(source, target, {i: tuple(tuple(r) for r in m) for i, m in comps.items()})
+        terms.append((sign, (k + l - 1, t_pos, c_tail, factor_path(spec, v, anchor))))
+    return _chain_map(build_complex(spec, q_source), build_complex(spec, q_target), terms)
 
 
 def irr_targets_quadruple(spec: AlgebraSpec, q: Quadruple) -> list[Quadruple]:

@@ -19,6 +19,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import (
     AlgebraSpec,
@@ -161,11 +162,15 @@ def make_complex(spec: AlgebraSpec, summands, diffs) -> ProjComplex:
     for i, mat in diffs.items():
         i = int(i)
         mat = tuple(tuple(row) for row in mat)
-        rows, cols = len(norm_s.get(i + 1, ())), len(norm_s.get(i, ()))
-        fits = len(mat) == rows and all(len(row) == cols for row in mat)
+        fits = _fits(mat, len(norm_s.get(i + 1, ())), len(norm_s.get(i, ())))
         if not fits or any(e for row in mat for e in row):
             norm_d[i] = mat
     return ProjComplex(spec, norm_s, norm_d)
+
+
+def _fits(mat, rows: int, cols: int) -> bool:
+    """Whether mat has rows rows of cols entries each."""
+    return len(mat) == rows and all(len(row) == cols for row in mat)
 
 
 def stalk_complex(spec: AlgebraSpec, vertex: int, degree: int = 0) -> ProjComplex:
@@ -187,7 +192,7 @@ def _matrices_problem(spec, mats, rows_at, cols_at, what: str, cell: str) -> str
     products = path_table(spec).products
     for i, mat in sorted(mats.items()):
         rows, cols = rows_at(i), cols_at(i)
-        if len(mat) != len(rows) or any(len(r) != len(cols) for r in mat):
+        if not _fits(mat, len(rows), len(cols)):
             return f"degree {i}: {what} shape does not match summands"
         for r, row in enumerate(mat):
             for col, entry in enumerate(row):
@@ -276,17 +281,42 @@ def make_chain_map(source: ProjComplex, target: ProjComplex, components) -> Chai
     return ChainMap(source, target, comps)
 
 
-def _unit_matrix(verts, coeff=1) -> Matrix:
-    """coeff times the identity of the sum of the projectives at verts."""
+def _chain_map(source: ProjComplex, target: ProjComplex, terms, t: int = 0) -> ChainMap:
+    """The map whose entry (r, col) at degree i + t is the sum of coeff * path
+    over the terms (coeff, (i, r, col, path)), each coeff nonzero and exact.
+
+    Every chain map built from entries is built here.  Block shapes come
+    from the two complexes; a degree with no nonzero entry is left out.
+
+    >>> p, loop = stalk_complex(AlgebraSpec(1, 0), 0), Path(0, (0,))
+    >>> terms = [(2, (0, 0, 0, loop)), (1, (0, 0, 0, Path(0, ()))), (-2, (0, 0, 0, loop))]
+    >>> _chain_map(p, p, terms).components, _chain_map(p, p, terms[::2]).components
+    ({0: ((e(0),),)}, {})
+    """
+    cells: dict[int, dict[tuple[int, int], dict]] = {}
+    for coeff, (i, r, col, path) in terms:
+        add_entry(cells.setdefault(i + t, {}).setdefault((r, col), {}), path, coeff)
     z = PathCombination.zero()
-    return tuple(
-        tuple(PathCombination.of(Path(v, ()), coeff) if r == col else z for col in range(len(verts)))
-        for r, v in enumerate(verts)
-    )
+    comps = {}
+    for i in sorted(cells):
+        entries = {rc: PathCombination(e) for rc, e in cells[i].items() if e}
+        if entries:
+            cols = range(len(source.summand(i)))
+            comps[i] = tuple(tuple(entries.get((r, col), z) for col in cols)
+                             for r in range(len(target.summand(i))))
+    return ChainMap(source, target, comps)
+
+
+def _unit_terms(summands: dict, coeff=lambda i: 1, row0=lambda i: 0):
+    """The terms of coeff(i) times the identity on each degree i's summands, from row row0(i)."""
+    for i, verts in summands.items():
+        a, r0 = coeff(i), row0(i)
+        for k, v in enumerate(verts):
+            yield a, (i, r0 + k, k, Path(v, ()))
 
 
 def identity_chain_map(c: ProjComplex) -> ChainMap:
-    return ChainMap(c, c, {i: _unit_matrix(c.summand(i)) for i in c.degrees()})
+    return _chain_map(c, c, _unit_terms(c.summands))
 
 
 def zero_chain_map(source: ProjComplex, target: ProjComplex) -> ChainMap:
@@ -342,10 +372,9 @@ def scale_chain_map(f: ChainMap, coeff) -> ChainMap:
 
 def combine_chain_maps(source: ProjComplex, target: ProjComplex, maps, coeffs) -> ChainMap:
     """sum_j coeffs[j] maps[j], a map source -> target; coeffs is a dict j -> scalar."""
-    total = zero_chain_map(source, target)
-    for j, coeff in coeffs.items():
-        total = add_chain_maps(total, scale_chain_map(maps[j], coeff))
-    return total
+    scaled = ((exact(a * coeff), key) for j, coeff in coeffs.items() if coeff
+              for a, key in _map_terms(maps[j].components, 0))
+    return _chain_map(source, target, scaled)
 
 
 def shift_chain_map(f: ChainMap, t: int) -> ChainMap:
@@ -384,19 +413,11 @@ def mapping_cone(f: ChainMap) -> ProjComplex:
 
 def cone_maps(f: ChainMap) -> tuple[ChainMap, ChainMap]:
     """The canonical chain maps D -> cone(f) and cone(f) -> shift(C, 1), on one cone."""
-    cone = mapping_cone(f)
-    c, d = f.source, f.target
-    inclusion = {
-        i: mat_zero(len(c.summand(i + 1)), len(d.summand(i))) + _unit_matrix(d.summand(i))
-        for i in d.degrees()
-    }
-    projection = {}
-    for i in cone.degrees():
-        verts = c.summand(i + 1)
-        if verts:
-            zeros = mat_zero(1, len(d.summand(i)))[0]
-            projection[i] = tuple(row + zeros for row in _unit_matrix(verts))
-    return ChainMap(d, cone, inclusion), ChainMap(cone, shift(c, 1), projection)
+    cone, c, d = mapping_cone(f), f.source, f.target
+    inclusion = _chain_map(d, cone, _unit_terms(d.summands, row0=lambda i: len(c.summand(i + 1))))
+    # degree i of shift(c, 1) is C^{i+1}, the first block of the cone's degree i
+    projection = _chain_map(cone, up := shift(c, 1), _unit_terms(up.summands))
+    return inclusion, projection
 
 
 # -- Hom spaces in the homotopy category -------------------------------------
@@ -503,19 +524,7 @@ def _homotopy_images(c: ProjComplex, d: ProjComplex, findex):
 
 
 def _lift_vector(c: ProjComplex, d: ProjComplex, fvars, vec) -> ChainMap:
-    t = _lowest(c)
-    comps: dict[int, list[list[PathCombination]]] = {}
-    for j, (i, r, col, p) in enumerate(fvars):
-        coeff = vec.get(j)
-        if not coeff:
-            continue
-        if i not in comps:
-            comps[i] = [
-                [PathCombination.zero() for _ in c.summand(i + t)]
-                for _ in d.summand(i + t)
-            ]
-        comps[i][r][col] = comps[i][r][col] + PathCombination.of(p, coeff)
-    return make_chain_map(c, d, {i + t: tuple(tuple(r) for r in m) for i, m in comps.items()})
+    return _chain_map(c, d, ((a, fvars[j]) for j, a in vec.items()), _lowest(c))
 
 
 def _map_vector(f: ChainMap, findex) -> dict[int, int | Fraction]:
@@ -706,8 +715,7 @@ def is_null_homotopic(f: ChainMap) -> bool:
     ValueError: not a chain map: degree 0: does not commute with the differentials
     """
     c, d = f.source, f.target
-    fits = all(len(m) == len(d.summand(i)) and all(len(r) == len(c.summand(i)) for r in m)
-               for i, m in f.components.items())
+    fits = all(_fits(m, len(d.summand(i)), len(c.summand(i))) for i, m in f.components.items())
     if fits and (c.spec is d.spec or c.spec == d.spec) and quotient(c, d).contains(f):
         return True
     if problem := validate_chain_map(f):
@@ -737,8 +745,10 @@ def homotopy_inverse(f: ChainMap) -> ChainMap | None:
     """A two-sided homotopy inverse of f, or None when f is not an isomorphism.
 
     g is ``homotopy_factor(f, id)``, and f after g minus the identity must be
-    null-homotopic.  Over ``L(1, 0)``, the identity of the stalk ``P_0`` has
-    an inverse and the loop ``a(0)`` has none:
+    null-homotopic; that round trip is built in one pass from the terms of
+    f after g and the identity's terms with coefficient -1.  Over
+    ``L(1, 0)``, the identity of the stalk ``P_0`` has an inverse and the
+    loop ``a(0)`` has none:
 
     >>> from kbproj.algebra import AlgebraSpec, Path, PathCombination
     >>> p = stalk_complex(AlgebraSpec(1, 0), 0)
@@ -751,8 +761,9 @@ def homotopy_inverse(f: ChainMap) -> ChainMap | None:
     g = homotopy_factor(f, identity_chain_map(f.source))
     if g is None:
         return None
-    minus_id = scale_chain_map(identity_chain_map(f.target), -1)
-    round_trip = add_chain_maps(compose_chain_maps(f, g), minus_id)
+    fg, y = compose_chain_maps(f, g), f.target
+    minus_id = _unit_terms(y.summands, lambda i: -1)
+    round_trip = _chain_map(y, y, chain(_map_terms(fg.components, 0), minus_id))
     return g if quotient(f.target, f.target).contains(round_trip) else None
 
 
@@ -794,54 +805,29 @@ def minimal_model(c: ProjComplex) -> ProjComplex:
                         return i, r, col
         return None
 
-    while True:
-        pivot = find_pivot()
-        if pivot is None:
-            break
+    while (pivot := find_pivot()) is not None:
         i, r, col = pivot
         mat = diffs[i]
         inv = _invert_local(spec, mat[r][col])
-        nrows, ncols = len(mat), len(mat[0])
-        for s in range(nrows):
-            if s == r:
-                continue
-            for e in range(ncols):
-                if e == col:
-                    continue
-                if mat[r][e] and mat[s][col]:
-                    corr = algebra_product(
-                        spec, algebra_product(spec, mat[r][e], inv), mat[s][col]
-                    )
-                    mat[s][e] = mat[s][e] - corr
-        # drop column col at degree i and row r at degree i+1
-        del summands[i][col]
-        del summands[i + 1][r]
-        del mat[r]
+        for s, row in enumerate(mat):
+            if s != r and row[col]:
+                for e, entry in enumerate(mat[r]):
+                    if e != col and entry:
+                        corr = algebra_product(spec, algebra_product(spec, entry, inv), row[col])
+                        row[e] = row[e] - corr
+        # split off summand col of degree i and summand r of degree i + 1
+        del summands[i][col], summands[i + 1][r], mat[r]
         for row in mat:
             del row[col]
-        if not mat or not mat[0]:
-            del diffs[i]
-        below = diffs.get(i - 1)
-        if below is not None:
-            del below[col]
-            if not below:
-                del diffs[i - 1]
-        above = diffs.get(i + 1)
-        if above is not None:
-            for row in above:
-                del row[r]
-            if above and not above[0]:
-                del diffs[i + 1]
-        for j in (i - 1, i, i + 1):
-            if j in diffs and (j not in summands or not summands[j] or j + 1 not in summands or not summands[j + 1]):
-                del diffs[j]
-        for j in (i, i + 1):
-            if j in summands and not summands[j]:
-                del summands[j]
+        if i - 1 in diffs:
+            del diffs[i - 1][col]
+        for row in diffs.get(i + 1, ()):
+            del row[r]
+    # all-zero differentials stay: only empty summands and matrices go
     return ProjComplex(
         spec,
         {i: tuple(s) for i, s in summands.items() if s},
-        {i: tuple(tuple(row) for row in mat) for i, mat in diffs.items()},
+        {i: tuple(map(tuple, mat)) for i, mat in diffs.items() if mat and mat[0]},
     )
 
 
@@ -873,9 +859,10 @@ def is_isomorphic_K(c: ProjComplex, d: ProjComplex) -> IsoResult:
     """
     if c.spec != d.spec:
         raise ValueError("isomorphism across different algebras")
-    if _signature(minimal_model(c)) != _signature(minimal_model(d)):
+    model = minimal_model(c)
+    if _signature(model) != _signature(minimal_model(d)):
         return IsoResult(False)
-    if is_contractible(c):
+    if model.is_zero():  # a minimal model is zero exactly when the complex is contractible
         return IsoResult(True, zero_chain_map(c, d), zero_chain_map(d, c))
     forward = hom_space(c, d).basis
     candidates = list(forward)

@@ -38,6 +38,7 @@ Claims made by this module:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,13 +50,13 @@ from .complexes import (
     ChainMap,
     ProjComplex,
     SCHEMA_VERSION,
+    _chain_map,
     _json_ints,
-    _unit_matrix,
+    _unit_terms,
     compose_chain_maps,
     cone_maps,
     homotopy_factor,
     homotopy_inverse,
-    make_chain_map,
     quotient,
     shift,
 )
@@ -527,8 +528,8 @@ def _suspension_comparison(spec: AlgebraSpec, v: GammaVertex) -> ChainMap:
     """The alternating-sign isomorphism Theta(suspension of v) -> shift(Theta(v), 1)."""
     shifted = shift(build_complex(spec, theta_vertex(spec, v)), 1)
     suspended = build_complex(spec, theta_vertex(spec, suspend_vertex(spec, v)))
-    comps = {i: _unit_matrix(s, -1 if i % 2 else 1) for i, s in suspended.summands.items()}
-    return make_chain_map(suspended, shifted, comps)
+    signs = _unit_terms(suspended.summands, lambda i: -1 if i % 2 else 1)
+    return _chain_map(suspended, shifted, signs)
 
 
 def standard_triangle(spec: AlgebraSpec, v: GammaVertex) -> StandardTriangle:
@@ -759,7 +760,10 @@ def pseudo_identity_to_obj(F: PseudoIdentityData) -> dict:
 
 
 def _json_coeff(x) -> Fraction:
-    """A Fraction string, as ``pseudo_identity_to_obj`` writes, or a JSON integer."""
+    """A JSON integer, or a Fraction string as ``pseudo_identity_to_obj`` writes
+    it: ASCII digits with an optional sign, then optionally a slash and ASCII digits."""
+    if isinstance(x, str) and not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", x):
+        raise ValueError(f"coefficient {x!r} is not a fraction written in ASCII digits")
     if isinstance(x, str) or type(x) is int:
         return Fraction(x)
     raise TypeError(f"coefficient {x!r} is neither a Fraction string nor an integer")

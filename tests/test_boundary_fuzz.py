@@ -6,14 +6,13 @@ result or a ``ValueError``, and the CLI (``rigidity-check --input`` and
 The inputs are valid objects with parts replaced by arbitrary JSON,
 degree keys spelled every which way, and raw text.
 
-Two known defects lie outside what these tests draw, and are logged in
+One known defect lies outside what these tests draw, and is logged in
 CHANGES.md.  The algebra parameters and window bounds come from small
 ranges: the loaders build the path table and the window grid before they
 compare either with the size of the data, so a huge one makes a short
-file take time and memory that grow with it, not raise.  Coefficients
-are small: a coefficient string such as ``"1e5000"`` loads, and writing
-the report then fails on the interpreter's limit for int-to-str
-conversion, with a traceback.
+file take time and memory that grow with it, not raise.  Coefficient
+strings include exponent, underscore and non-ASCII digit spellings, which
+``Fraction()`` would read and the loader refuses.
 """
 
 from __future__ import annotations
@@ -144,7 +143,9 @@ def _pseudo_identity_objs():
     resized = st.tuples(
         st.sampled_from(written), ALGEBRA, st.one_of(st.lists(SMALL, max_size=5), LEAF)
     ).map(lambda t: {**t[0], "algebra": t[1], "window": t[2]})
-    coefficient = st.one_of(SMALL, st.fractions(max_denominator=4).map(str))
+    # spellings Fraction() reads but pseudo_identity_to_obj never writes
+    odd = st.sampled_from(["1e0", "1e5000", "1e-5000", "-2E3", "1_0", "1/2_0", "\u0661", "\uff11"])
+    coefficient = st.one_of(SMALL, st.fractions(max_denominator=4).map(str), odd)
     recoefficient = st.tuples(
         st.sampled_from(written), st.integers(0, 10**6), coefficient, coefficient
     ).map(_with_coefficients)

@@ -451,6 +451,27 @@ def test_rigidity_check_input_reads_integer_coefficients(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "spelling", ["1e0", "1e5000", "1e-5000", "1_0", "\u0661", "1/\u0662", " 1", "1/2 ", "1.0", "+"]
+)
+def test_rigidity_check_input_reads_only_the_written_coefficient_spelling(capsys, tmp_path, spelling):
+    # Fraction() read exponent forms: "1e0" loaded as 1, and "1e5000" loaded and
+    # then failed writing the family, with a traceback and exit 1
+    path = write_hand_made(tmp_path, f_000000=spelling)
+    code, out, err = run(capsys, "--algebra", "1,0", "rigidity-check", "--input", path)
+    assert (code, out) == (2, "")
+    assert err.strip() == (
+        "error: cannot load pseudo-identity data: "
+        f"coefficient {spelling!r} is not a fraction written in ASCII digits"
+    )
+
+
+@pytest.mark.parametrize("spelling", ["+1", "2/2", "01", "+3/03"])
+def test_rigidity_check_input_reads_a_signed_ascii_fraction(capsys, tmp_path, spelling):
+    path = write_hand_made(tmp_path, f_000000=spelling)
+    assert run(capsys, "--algebra", "1,0", "rigidity-check", "--input", path)[0] == 0
+
+
 def test_rigidity_check_naturality_failure_names_both_sides(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "construct_conjugation", doubled_at((0, 0, 1)))
     path = write_hand_made(tmp_path)
