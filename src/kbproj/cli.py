@@ -22,15 +22,15 @@ and seed.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
 from .algebra import AlgebraSpec
 from .basismaps import hom_dim, in_phi, in_psi, irr_targets_quadruple, phi_map, psi_map
 from .complexes import (
-    SCHEMA_VERSION,
     _INT_TEXT,
+    _int_literal,
+    _schema_header,
     add_chain_maps,
     compose_chain_maps,
     hom_space_dimension,
@@ -44,7 +44,6 @@ from .complexes import (
 from .gamma import (
     GammaVertex,
     gamma_compose,
-    gamma_hom_dim,
     in_F,
     in_G,
     irreducible_targets,
@@ -74,34 +73,45 @@ from .rigidity import (
 )
 
 
-class UsageError(Exception):
-    """Bad arguments discovered after argparse: reported on exit code 2."""
+class UsageError(argparse.ArgumentTypeError):
+    """Bad arguments: argparse reports one met while parsing, ``main`` one met
+    after it, both on exit code 2."""
 
 
 # -- Argument parsing -----------------------------------------------------------
 
 
-def _algebra_spec(text: str) -> AlgebraSpec:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"--algebra expects N,M, got {text!r}")
+def _integer(text: str) -> int:
+    """An integer as the CLI reads every number: ``complexes._INT_TEXT``, ASCII
+    digits with an optional sign and whitespace around, read by ``_int_literal``."""
+    if not _INT_TEXT.fullmatch(text):
+        raise UsageError(f"expected an integer, got {text!r}")
     try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"--algebra expects integers, got {text!r}") from None
+        return _int_literal(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _pair(text: str, sep: str, flag: str, form: str) -> tuple[int, int]:
+    """The two integers of ``text``, written ``form``; UsageError naming ``flag`` otherwise."""
+    parts = text.split(sep)
+    if len(parts) != 2:
+        raise UsageError(f"{flag} expects {form}, got {text!r}")
+    try:
+        return _integer(parts[0]), _integer(parts[1])
+    except UsageError:
+        raise UsageError(f"{flag} expects integers, got {text!r}") from None
+
+
+def _algebra_spec(text: str) -> AlgebraSpec:
+    n, m = _pair(text, ",", "--algebra", "N,M")
     if n < 1 or m < 0:
         raise UsageError(f"--algebra needs N >= 1 and M >= 0, got {text!r}")
     return AlgebraSpec(n, m)
 
 
 def _parse_span(text: str, flag: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"{flag} expects LO:HI, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"{flag} expects integers, got {text!r}") from None
+    lo, hi = _pair(text, ":", flag, "LO:HI")
     if lo > hi:
         raise UsageError(f"{flag} window {text!r} is empty")
     return lo, hi
@@ -120,15 +130,15 @@ def _parse_window(a_span: tuple[int, int], b_span: tuple[int, int]) -> Window:
 def _parse_point(spec: AlgebraSpec, text: str):
     """A vertex (i,a,b) or a quadruple (k,u,l,v) from its printed form, as
     ``str(tuple(v))`` or ``quadruples.format_quadruple`` write it: integers
-    of ASCII digits with an optional sign, separated by commas, optionally
-    in one pair of parentheses, with whitespace around any part."""
+    as ``_integer`` reads them, separated by commas, optionally in one pair
+    of parentheses."""
     body = text.strip()
     if body[:1] == "(" and body[-1:] == ")":
         body = body[1:-1]
-    parts = body.split(",")
-    if not all(_INT_TEXT.fullmatch(p) for p in parts):
-        raise UsageError(f"cannot parse {text!r} as a vertex or quadruple")
-    numbers = [int(p) for p in parts]
+    try:
+        numbers = [_integer(p) for p in body.split(",")]
+    except UsageError:
+        raise UsageError(f"cannot parse {text!r} as a vertex or quadruple") from None
     if len(numbers) == 3:
         v = GammaVertex(*numbers)
         if not is_vertex(spec, v):
@@ -170,24 +180,15 @@ def cmd_hom(spec: AlgebraSpec, args: argparse.Namespace) -> int:
     if type(source) is not type(target):
         raise UsageError("--from and --to must both be vertices or both be quadruples")
     if isinstance(source, GammaVertex):
-        labels = []
-        if in_F(spec, source, target):
-            labels.append("f")
-        if in_G(spec, source, target):
-            labels.append("g")
-        dim = gamma_hom_dim(spec, source, target)
+        members = {"f": in_F(spec, source, target), "g": in_G(spec, source, target)}
         oracle_pair = (theta_vertex(spec, source), theta_vertex(spec, target))
     else:
-        labels = []
-        if in_phi(spec, target, source):
-            labels.append("phi")
-        if in_psi(spec, target, source):
-            labels.append("psi")
-        dim = hom_dim(spec, source, target)
+        members = {"phi": in_phi(spec, target, source), "psi": in_psi(spec, target, source)}
         oracle_pair = (source, target)
+    labels = [label for label, member in members.items() if member]
+    dim = len(labels)
     obj = {
-        "schema": SCHEMA_VERSION,
-        "algebra": [spec.n, spec.m],
+        **_schema_header(spec),
         "from": list(source),
         "to": list(target),
         "dim": dim,
@@ -212,19 +213,11 @@ def cmd_hom(spec: AlgebraSpec, args: argparse.Namespace) -> int:
 # -- verify ------------------------------------------------------------------------
 
 
-def _suite(name: str):
-    """Turn a generator of per-check failure lines ([] for a pass) into a suite report."""
-
-    def decorate(checks):
-        @functools.wraps(checks)
-        def run(*args) -> dict:
-            results = list(checks(*args))
-            failures = [line for lines in results for line in lines]
-            return {"name": name, "checks": len(results), "failures": failures}
-
-        return run
-
-    return decorate
+def _suite(name: str, checks) -> dict:
+    """The report of a suite from its per-check failure lines ([] for a pass)."""
+    results = list(checks)
+    failures = [line for lines in results for line in lines]
+    return {"name": name, "checks": len(results), "failures": failures}
 
 
 def _shift_classes(spec: AlgebraSpec, k_span, l_max):
@@ -239,8 +232,7 @@ def _shift_classes(spec: AlgebraSpec, k_span, l_max):
             seen.add(rep)
 
 
-@_suite("dims")
-def _suite_dims(spec: AlgebraSpec, k_span, l_max):
+def _dims_checks(spec: AlgebraSpec, k_span, l_max):
     oracle: dict[tuple, int] = {}
     for qs, qt, rep, new in _shift_classes(spec, k_span, l_max):
         if new:
@@ -252,8 +244,7 @@ def _suite_dims(spec: AlgebraSpec, k_span, l_max):
             yield [f"{tuple(qs)} -> {tuple(qt)}: formula {formula}, oracle {oracle[rep]}"]
 
 
-@_suite("basis")
-def _suite_basis(spec: AlgebraSpec, k_span, l_max):
+def _basis_checks(spec: AlgebraSpec, k_span, l_max):
     for _, _, (rep_s, rep_t), new in _shift_classes(spec, k_span, l_max):
         if not new:
             continue
@@ -283,8 +274,7 @@ def _suite_basis(spec: AlgebraSpec, k_span, l_max):
         yield failures
 
 
-@_suite("functoriality")
-def _suite_functoriality(spec: AlgebraSpec, a_span, b_span):
+def _functoriality_checks(spec: AlgebraSpec, a_span, b_span):
     vertices = tuple(_window_vertices(spec, a_span, b_span))
     gens = [
         _generator_hom(spec, key)
@@ -306,16 +296,14 @@ def _suite_functoriality(spec: AlgebraSpec, a_span, b_span):
                 yield [f"{tuple(h1.source)} -> {tuple(h1.target)} -> {tuple(h2.target)}"]
 
 
-@_suite("suspension")
-def _suite_suspension(spec: AlgebraSpec, a_span, b_span):
+def _suspension_checks(spec: AlgebraSpec, a_span, b_span):
     for v in _window_vertices(spec, a_span, b_span):
         left = build_complex(spec, suspend_quadruple(theta_vertex(spec, v)))
         right = build_complex(spec, theta_vertex(spec, suspend_vertex(spec, v)))
         yield [] if is_isomorphic_K(left, right) else [f"suspension square fails at {tuple(v)}"]
 
 
-@_suite("irreducibles")
-def _suite_irreducibles(spec: AlgebraSpec, a_span, b_span):
+def _irreducibles_checks(spec: AlgebraSpec, a_span, b_span):
     for v in _window_vertices(spec, a_span, b_span):
         transported = [theta_vertex(spec, t) for t in irreducible_targets(spec, v)]
         table = irr_targets_quadruple(spec, theta_vertex(spec, v))
@@ -328,8 +316,7 @@ def _suite_irreducibles(spec: AlgebraSpec, a_span, b_span):
             ]
 
 
-@_suite("triangles")
-def _suite_triangles(spec: AlgebraSpec, a_span, b_span):
+def _triangles_checks(spec: AlgebraSpec, a_span, b_span):
     for v in _window_vertices(spec, a_span, b_span):
         try:
             standard_triangle(spec, v)
@@ -356,8 +343,7 @@ def _conjugation_check(data) -> tuple:
     ]
 
 
-@_suite("rigidity")
-def _suite_rigidity(spec: AlgebraSpec, window: Window, seed: int):
+def _rigidity_checks(spec: AlgebraSpec, window: Window, seed: int):
     ident = identity_data(spec, window)
     if construct_conjugation(ident) == identity_family(spec, ident.vertices()):
         yield []
@@ -375,25 +361,21 @@ def cmd_verify(spec: AlgebraSpec, args: argparse.Namespace) -> int:
     window = _parse_window(a_span, b_span)
     if args.l < 0:
         raise UsageError("--l must be nonnegative")
-    suites = [_suite_dims(spec, k_span, args.l)] if args.oracle == "on" else []
-    suites.append(_suite_basis(spec, k_span, args.l))
-    suites.append(_suite_functoriality(spec, a_span, b_span))
-    suites.append(_suite_suspension(spec, a_span, b_span))
-    suites.append(_suite_irreducibles(spec, a_span, b_span))
-    suites.append(_suite_triangles(spec, a_span, b_span))
-    suites.append(_suite_rigidity(spec, window, args.seed))
+    suites = [_suite("dims", _dims_checks(spec, k_span, args.l))] if args.oracle == "on" else []
+    suites.append(_suite("basis", _basis_checks(spec, k_span, args.l)))
+    suites.append(_suite("functoriality", _functoriality_checks(spec, a_span, b_span)))
+    suites.append(_suite("suspension", _suspension_checks(spec, a_span, b_span)))
+    suites.append(_suite("irreducibles", _irreducibles_checks(spec, a_span, b_span)))
+    suites.append(_suite("triangles", _triangles_checks(spec, a_span, b_span)))
+    suites.append(_suite("rigidity", _rigidity_checks(spec, window, args.seed)))
     ok = all(not s["failures"] for s in suites)
     obj = {
-        "schema": SCHEMA_VERSION,
-        "algebra": [spec.n, spec.m],
+        **_schema_header(spec),
         "window": {"k": list(k_span), "l": args.l, "a": list(a_span), "b": list(b_span)},
         "seed": args.seed,
         "oracle": args.oracle == "on",
         "fault": None,
-        "suites": [
-            {"name": s["name"], "checks": s["checks"], "failures": s["failures"][:10]}
-            for s in suites
-        ],
+        "suites": [{**s, "failures": s["failures"][:10]} for s in suites],
         "ok": ok,
     }
     lines = []
@@ -414,14 +396,9 @@ def cmd_ar_export(spec: AlgebraSpec, args: argparse.Namespace) -> int:
     b_span = _parse_span(args.b, "--b")
     vertices = sorted(_window_vertices(spec, a_span, b_span))
     inside = set(vertices)
-    edges = []
-    for v in vertices:
-        for t in irreducible_targets(spec, v):
-            if t in inside:
-                edges.append((v, t))
+    edges = [(v, t) for v in vertices for t in irreducible_targets(spec, v) if t in inside]
     obj = {
-        "schema": SCHEMA_VERSION,
-        "algebra": [spec.n, spec.m],
+        **_schema_header(spec),
         "window": {"a": list(a_span), "b": list(b_span)},
         "vertices": [
             {
@@ -454,7 +431,7 @@ def cmd_rigidity_check(spec: AlgebraSpec, args: argparse.Namespace) -> int:
     if args.input is not None:
         try:
             with open(args.input, "r", encoding="utf-8") as handle:
-                data = pseudo_identity_from_obj(json.load(handle))
+                data = pseudo_identity_from_obj(json.load(handle, parse_int=_int_literal))
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load pseudo-identity data: {exc}") from None
         if data.spec != spec:
@@ -478,8 +455,7 @@ def cmd_rigidity_check(spec: AlgebraSpec, args: argparse.Namespace) -> int:
             instances.append(entry)
     ok = all(entry["ok"] for entry in instances)
     obj = {
-        "schema": SCHEMA_VERSION,
-        "algebra": [spec.n, spec.m],
+        **_schema_header(spec),
         "window": {"a": list(window[:2]), "b": list(window[2:])},
         "seed": args.seed,
         "instances": instances,
@@ -510,30 +486,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     hom = sub.add_parser("hom", help="dimension and basis of a hom space")
+    hom.set_defaults(run=cmd_hom)
     hom.add_argument("--from", dest="from_", required=True, metavar="POINT")
     hom.add_argument("--to", required=True, metavar="POINT")
     hom.add_argument("--format", choices=["text", "json"], default="text")
     hom.add_argument("--oracle", choices=["on", "off"], default="off")
 
     verify = sub.add_parser("verify", help="run the invariant suites on a window")
+    verify.set_defaults(run=cmd_verify)
     verify.add_argument("--k", default="-2:2", metavar="LO:HI")
-    verify.add_argument("--l", type=int, default=3, metavar="MAX")
+    verify.add_argument("--l", type=_integer, default=3, metavar="MAX")
     verify.add_argument("--a", default="-2:2", metavar="LO:HI")
     verify.add_argument("--b", default="-2:2", metavar="LO:HI")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_integer, default=0)
     verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.add_argument("--oracle", choices=["on", "off"], default="on")
 
     export = sub.add_parser("ar-export", help="vertex grid with irreducible-map edges")
+    export.set_defaults(run=cmd_ar_export)
     export.add_argument("--a", default="0:2", metavar="LO:HI")
     export.add_argument("--b", default="0:2", metavar="LO:HI")
     export.add_argument("--format", choices=["dot", "json"], default="dot")
 
     rigidity = sub.add_parser("rigidity-check", help="conjugation construction on seeded data")
+    rigidity.set_defaults(run=cmd_rigidity_check)
     rigidity.add_argument("--a", default="-2:2", metavar="LO:HI", help="ignored with --input")
     rigidity.add_argument("--b", default="-2:2", metavar="LO:HI", help="ignored with --input")
-    rigidity.add_argument("--seed", type=int, default=0)
-    rigidity.add_argument("--count", type=int, default=5)
+    rigidity.add_argument("--seed", type=_integer, default=0)
+    rigidity.add_argument("--count", type=_integer, default=5)
     rigidity.add_argument("--input", default=None, metavar="FILE")
     rigidity.add_argument("--format", choices=["text", "json"], default="text")
     return parser
@@ -559,14 +539,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_window_tokens(list(sys.argv[1:] if argv is None else argv)))
     try:
-        spec = _algebra_spec(args.algebra)
-        if args.command == "hom":
-            return cmd_hom(spec, args)
-        if args.command == "verify":
-            return cmd_verify(spec, args)
-        if args.command == "ar-export":
-            return cmd_ar_export(spec, args)
-        return cmd_rigidity_check(spec, args)
+        return args.run(_algebra_spec(args.algebra), args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

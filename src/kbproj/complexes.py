@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -885,18 +886,36 @@ def is_isomorphic_K(c: ProjComplex, d: ProjComplex) -> IsoResult:
 SCHEMA_VERSION = 1
 
 
-def _json_ints(values, what: str) -> tuple[int, ...]:
-    """values as a tuple; TypeError unless each one is a JSON integer, which a bool is not."""
+def _schema_header(spec: AlgebraSpec) -> dict:
+    """The ``schema`` and ``algebra`` keys that open every JSON object the package writes."""
+    return {"schema": SCHEMA_VERSION, "algebra": [spec.n, spec.m]}
+
+
+def _json_ints(values, what: str, count: int | None = None) -> tuple[int, ...]:
+    """values as a tuple; TypeError unless each one is a JSON integer, which a
+    bool is not, and unless there are ``count`` of them when it is given."""
     out = tuple(values)
+    if count is not None and len(out) != count:
+        raise TypeError(f"expected {count} {what}s, got {len(out)}")
     for x in out:
         if type(x) is not int:
             raise TypeError(f"{what} {x!r} is not an integer")
     return out
 
 
-# An integer in text, as the loaders and the CLI read it: ASCII digits
-# with an optional sign, whitespace around.
-_INT_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")
+# An integer in text, as the loaders and the CLI read it: ASCII digits with an
+# optional sign, and around them the whitespace int() strips: \s except \x1c-\x1f.
+_INT_TEXT = re.compile(r"[^\S\x1c-\x1f]*[+-]?[0-9]+[^\S\x1c-\x1f]*")
+
+
+def _int_literal(text: str, what: str = "integer") -> int:
+    """int(text) for digits as ``_INT_TEXT`` or JSON write them; ValueError naming
+    ``what`` and the digit limit, not the interpreter setting, on a longer text."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{what} {text[:12]}... has more than {limit} digits") from None
 
 
 def _degree_keys(table: dict, what: str) -> dict:
@@ -906,7 +925,7 @@ def _degree_keys(table: dict, what: str) -> dict:
     for key, value in table.items():
         if not (isinstance(key, str) and _INT_TEXT.fullmatch(key)):
             raise ValueError(f"malformed complex: {what} key {key!r} is not an integer")
-        i = int(key)
+        i = _int_literal(key, f"malformed complex: {what} key")
         if i in out:
             raise ValueError(f"malformed complex: {what} keys {spelled[i]!r} and {key!r} name one degree")
         spelled[i], out[i] = key, value
@@ -929,8 +948,7 @@ def complex_to_obj(c: ProjComplex) -> dict:
             rows.append(cells)
         diffs[str(i)] = rows
     return {
-        "schema": SCHEMA_VERSION,
-        "algebra": [c.spec.n, c.spec.m],
+        **_schema_header(c.spec),
         "degrees": {str(i): list(c.summands[i]) for i in c.degrees()},
         "differentials": diffs,
     }
@@ -946,7 +964,7 @@ def complex_from_obj(obj: dict) -> ProjComplex:
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {version!r}")
     try:
-        spec = AlgebraSpec(*_json_ints(obj["algebra"][:2], "algebra parameter"))
+        spec = AlgebraSpec(*_json_ints(obj["algebra"], "algebra parameter", 2))
         degrees = _degree_keys(obj["degrees"], "degrees")
         summands = {i: _json_ints(s, "vertex") for i, s in degrees.items()}
         diffs = {}
@@ -978,4 +996,4 @@ def dumps_complex(c: ProjComplex) -> str:
 
 
 def loads_complex(text: str) -> ProjComplex:
-    return complex_from_obj(json.loads(text))
+    return complex_from_obj(json.loads(text, parse_int=_int_literal))

@@ -21,6 +21,7 @@ from typing import NamedTuple
 from .algebra import AlgebraSpec
 from .basismaps import in_phi, in_psi, phi_map, psi_map
 from .complexes import ChainMap, add_chain_maps, memo_table, scale_chain_map, zero_chain_map
+from .linalg import exact
 from .quadruples import Quadruple, build_complex, in_calC
 
 
@@ -101,7 +102,9 @@ class GammaHom:
     are vertices for spec, both coefficients are Fractions, and a
     coefficient is nonzero only when its generator exists for the
     (source, target) pair (``in_F`` for f, ``in_G`` for g).  The
-    constructor turns plain int triples into GammaVertex.
+    constructor turns plain int triples into GammaVertex, and reads each
+    coefficient as ``linalg.exact`` does: an int or a Fraction, never a
+    float, a bool or a string.
 
     The public constructor enforces the invariant on every call, and so
     does everything built on it: ``hom_f``, ``hom_g``, ``zero_hom``,
@@ -115,7 +118,7 @@ class GammaHom:
     - ``gamma_compose`` keeps the outer endpoints, sets each coefficient
       only after testing its cone, and turns the kernel's int 0 into
       ``Fraction(0)``; ``hom_add`` (same algebra and endpoints) and
-      ``hom_scale`` (scalar coerced to a Fraction) make a coefficient
+      ``hom_scale`` (scalar read by ``exact``) make a coefficient
       nonzero only where an input coefficient was;
     - ``_scaled_hom`` builds a morphism from a ``scaled`` triple for
       ``invert_hom`` (nonzero only where the input was),
@@ -135,8 +138,8 @@ class GammaHom:
     def __post_init__(self):
         object.__setattr__(self, "source", _as_vertex(self.source))
         object.__setattr__(self, "target", _as_vertex(self.target))
-        object.__setattr__(self, "f_coeff", Fraction(self.f_coeff))
-        object.__setattr__(self, "g_coeff", Fraction(self.g_coeff))
+        object.__setattr__(self, "f_coeff", Fraction(exact(self.f_coeff)))
+        object.__setattr__(self, "g_coeff", Fraction(exact(self.g_coeff)))
         check_vertex(self.spec, self.source)
         check_vertex(self.spec, self.target)
         if self.f_coeff and not _in_F(self.spec, self.source, self.target):
@@ -197,7 +200,7 @@ def hom_add(h1: GammaHom, h2: GammaHom) -> GammaHom:
 
 
 def hom_scale(h: GammaHom, coeff) -> GammaHom:
-    c = Fraction(coeff)
+    c = exact(coeff)
     return _trusted_hom(h.spec, h.source, h.target, c * h.f_coeff, c * h.g_coeff)
 
 

@@ -51,7 +51,9 @@ from .complexes import (
     ProjComplex,
     SCHEMA_VERSION,
     _chain_map,
+    _int_literal,
     _json_ints,
+    _schema_header,
     _unit_terms,
     compose_chain_maps,
     cone_maps,
@@ -87,6 +89,7 @@ from .gamma import (
     theta_vertex,
     unsuspend_hom,
 )
+from .linalg import exact
 from .quadruples import build_complex
 
 Window = tuple[int, int, int, int]
@@ -600,7 +603,7 @@ class ConnectingIsoData:
             check_vertex(self.spec, vertex)
             if vertex in index:
                 raise ValueError(f"duplicate vertex {tuple(vertex)}")
-            index[vertex] = Fraction(mu)
+            index[vertex] = Fraction(exact(mu))
         object.__setattr__(self, "_index", index)
 
     def vertices(self) -> tuple[GammaVertex, ...]:
@@ -748,8 +751,7 @@ def _vertex_obj(v: GammaVertex) -> list[int]:
 
 def pseudo_identity_to_obj(F: PseudoIdentityData) -> dict:
     return {
-        "schema": SCHEMA_VERSION,
-        "algebra": [F.spec.n, F.spec.m],
+        **_schema_header(F.spec),
         "window": list(F.window),
         "images": [
             {"kind": kind, "source": _vertex_obj(source), "target": _vertex_obj(target),
@@ -761,11 +763,14 @@ def pseudo_identity_to_obj(F: PseudoIdentityData) -> dict:
 
 def _json_coeff(x) -> Fraction:
     """A JSON integer, or a Fraction string as ``pseudo_identity_to_obj`` writes
-    it: ASCII digits with an optional sign, then optionally a slash and ASCII digits."""
+    it: ASCII digits with an optional sign, then optionally a slash and ASCII
+    digits, each part read by ``_int_literal``."""
     if isinstance(x, str) and not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", x):
         raise ValueError(f"coefficient {x!r} is not a fraction written in ASCII digits")
-    if isinstance(x, str) or type(x) is int:
+    if type(x) is int:
         return Fraction(x)
+    if isinstance(x, str):
+        return Fraction(*(_int_literal(part, "coefficient") for part in x.split("/")))
     raise TypeError(f"coefficient {x!r} is neither a Fraction string nor an integer")
 
 
@@ -776,8 +781,8 @@ def pseudo_identity_from_obj(obj: dict) -> PseudoIdentityData:
     if obj.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {obj.get('schema')!r}")
     try:
-        spec = AlgebraSpec(*_json_ints(obj["algebra"], "algebra parameter"))
-        window = _json_ints(obj["window"], "window bound")
+        spec = AlgebraSpec(*_json_ints(obj["algebra"], "algebra parameter", 2))
+        window = _json_ints(obj["window"], "window bound", 4)
         images = []
         for item in obj["images"]:
             source = GammaVertex(*_json_ints(item["source"], "vertex coordinate"))
@@ -791,8 +796,7 @@ def pseudo_identity_from_obj(obj: dict) -> PseudoIdentityData:
 
 def family_to_obj(family: AutomorphismFamily) -> dict:
     return {
-        "schema": SCHEMA_VERSION,
-        "algebra": [family.spec.n, family.spec.m],
+        **_schema_header(family.spec),
         "homs": [
             {"vertex": _vertex_obj(v), "f": str(h.f_coeff), "g": str(h.g_coeff)}
             for v, h in family.homs

@@ -1,10 +1,11 @@
 """Fuzzing the boundary: the two JSON loaders and the CLI.
 
 ``loads_complex`` and ``pseudo_identity_from_obj`` may answer only with a
-result or a ``ValueError``, and the CLI (``rigidity-check --input`` and
-``hom --from/--to``) only with exit code 0, 1 or 2, never a traceback.
-The inputs are valid objects with parts replaced by arbitrary JSON,
-degree keys spelled every which way, and raw text.
+result or a ``ValueError``, and the CLI (``rigidity-check --input``,
+``hom --from/--to`` and every number it reads) only with exit code 0, 1 or
+2, never a traceback.  The inputs are valid objects with parts replaced by
+arbitrary JSON, degree keys and CLI numbers spelled every which way, and
+raw text.
 
 One known defect lies outside what these tests draw, and is logged in
 CHANGES.md.  The algebra parameters and window bounds come from small
@@ -171,8 +172,9 @@ def test_the_pseudo_identity_loader_raises_only_value_errors(obj):
     assert isinstance(loaded, PseudoIdentityData)
 
 
-def _run(*argv) -> int:
-    """main(argv)'s exit code, with argparse's exits counted as codes; any other exception escapes."""
+def _run(*argv) -> tuple[int, str]:
+    """main(argv)'s exit code, with argparse's exits counted as codes, and its
+    output; any other exception escapes."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -180,7 +182,7 @@ def _run(*argv) -> int:
         except SystemExit as exc:
             code = exc.code
     assert "Traceback" not in err.getvalue()
-    return code
+    return code, out.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,7 +196,7 @@ def test_rigidity_check_input_exits_0_1_or_2(content, algebra, fmt):
         path = os.path.join(tmp, "data.json")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(content)
-        code = _run("--algebra", algebra, "rigidity-check", "--input", path, "--format", fmt)
+        code, _ = _run("--algebra", algebra, "rigidity-check", "--input", path, "--format", fmt)
     assert code in (0, 1, 2)
 
 
@@ -214,5 +216,86 @@ POINT = st.one_of(
     fmt=st.sampled_from(["text", "json"]),
 )
 def test_hom_exits_0_1_or_2(source, target, algebra, fmt):
-    code = _run("--algebra", algebra, "hom", "--from", source, "--to", target, "--format", fmt)
+    code, _ = _run("--algebra", algebra, "hom", "--from", source, "--to", target, "--format", fmt)
     assert code in (0, 1, 2)
+
+
+# A small integer spelled as the CLI reads it, with a sign, leading zeros and
+# whitespace, or with an underscore, a non-ASCII digit or the separator \x1c,
+# which int() reads or \s matches and the CLI refuses; ``refused`` says which.
+DIGITS = st.sampled_from(
+    [("{}", False), ("0{}", False), ("{}_0", True), ("1_{}", True), ("\u0661{}", True),
+     ("{}\uff10", True)]
+)
+PAD = st.sampled_from([("", False), (" ", False), ("\t", False), ("\u2003", False), ("\x1c", True)])
+
+
+def _spelled(values):
+    """(text, refused, value) for an int drawn from ``values``."""
+
+    def spell(value, digits, pad, plus):
+        text = f"{pad[0]}{'-' if value < 0 else plus}{digits[0].format(abs(value))}{pad[0]}"
+        return text, digits[1] or pad[1], value
+
+    return st.builds(spell, values, DIGITS, PAD, st.sampled_from(["", "+"]))
+
+
+def _joined(sep, *numbers):
+    """The numbers' texts joined by ``sep``, whether any was refused, and their values."""
+    return sep.join(n[0] for n in numbers), any(n[1] for n in numbers), [n[2] for n in numbers]
+
+
+def _report(*argv) -> tuple[int, dict | None]:
+    """main(argv)'s exit code and, on 0, its JSON report."""
+    code, out = _run(*argv, "--format", "json")
+    return code, json.loads(out) if code == 0 else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=_spelled(st.integers(0, 3)),
+    m=_spelled(st.integers(-1, 2)),
+    a=st.tuples(_spelled(st.integers(-1, 2)), _spelled(st.integers(-1, 2))),
+    b=st.tuples(_spelled(st.integers(-1, 2)), _spelled(st.integers(-1, 2))),
+)
+def test_algebra_and_window_numbers_are_read_by_one_rule(n, m, a, b):
+    algebra, a, b = _joined(",", n, m), _joined(":", *a), _joined(":", *b)
+    code, report = _report("--algebra", algebra[0], "ar-export", "--a", a[0], "--b", b[0])
+    assert code in (0, 2)
+    if algebra[1] or a[1] or b[1]:
+        assert code == 2
+    elif n[2] >= 1 and m[2] >= 0 and a[2][0] <= a[2][1] and b[2][0] <= b[2][1]:
+        assert code == 0
+        assert (report["algebra"], report["window"]) == (algebra[2], {"a": a[2], "b": b[2]})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.tuples(_spelled(st.integers(-1, 1)), _spelled(st.integers(-1, 1))),
+    l_max=_spelled(st.integers(-1, 2)),
+    seed=_spelled(st.integers(-2, 20)),
+)
+def test_verify_numbers_are_read_by_one_rule(k, l_max, seed):
+    k = _joined(":", *k)
+    window = ["--k", k[0], "--l", l_max[0], "--a", "-1:1", "--b", "0:1", "--seed", seed[0]]
+    code, report = _report("--algebra", "2,1", "verify", *window)
+    assert code in (0, 2)
+    if k[1] or l_max[1] or seed[1]:
+        assert code == 2
+    elif k[2][0] <= k[2][1] and l_max[2] >= 0:
+        assert code == 0
+        window = report["window"]
+        assert (window["k"], window["l"], report["seed"]) == (k[2], l_max[2], seed[2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=_spelled(st.integers(-1, 3)), seed=_spelled(st.integers(-2, 20)))
+def test_rigidity_check_numbers_are_read_by_one_rule(count, seed):
+    argv = ["--algebra", "1,0", "rigidity-check", "--a", "-1:1", "--b", "-1:1"]
+    code, report = _report(*argv, "--count", count[0], "--seed", seed[0])
+    assert code in (0, 2)
+    if count[1] or seed[1]:
+        assert code == 2
+    elif count[2] >= 1:
+        assert code == 0
+        assert (report["seed"], len(report["instances"])) == (seed[2], count[2])

@@ -23,7 +23,7 @@ import pytest
 from conftest import fault
 from kbproj import algebra, complexes, rigidity
 from kbproj.algebra import AlgebraSpec, Path, PathCombination
-from kbproj.cli import _suite_functoriality, main
+from kbproj.cli import _functoriality_checks, _suite, main
 from kbproj.complexes import (
     clear_caches,
     hom_space_dimension,
@@ -63,7 +63,7 @@ def verify_json(capsys, *extra) -> tuple[int, str]:
 
 
 def test_memoized_objects_match_fresh_rebuilds():
-    report = _suite_functoriality(L21, (-2, 2), (-2, 2))
+    report = _suite("functoriality", _functoriality_checks(L21, (-2, 2), (-2, 2)))
     assert report["checks"] > 0 and report["failures"] == []
     stored_complexes = dict(memo_table("quadruples.build_complex"))
     stored_maps = dict(memo_table("gamma.theta_hom"))

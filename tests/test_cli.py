@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -20,6 +21,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# int() refuses text with more digits than this (0: no limit, or an
+# interpreter without one); the CLI and the loaders name it in their message
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="int() converts any number of digits")
+PAST_LIMIT = "1" + "0" * DIGIT_LIMIT
 
 
 def test_hom_text_examples(capsys):
@@ -79,6 +87,13 @@ def test_hom_rejects_mixed_modes(capsys):
         ("(0,0,10", "(0,0,0)", "cannot parse '(0,0,10' as a vertex or quadruple"),
         ("(+0,0_0,0)", "(0,0,0)", "cannot parse '(+0,0_0,0)' as a vertex or quadruple"),
         ("(0,0,0)", "(０,0,0)", "cannot parse '(０,0,0)' as a vertex or quadruple"),
+        # \s matches the separator \x1c and int() refuses it: a traceback once
+        ("(0,0,\x1c0)", "(0,0,0)", "cannot parse '(0,0,\\x1c0)' as a vertex or quadruple"),
+        pytest.param(
+            f"(0,0,{PAST_LIMIT})", "(0,0,0)",
+            f"cannot parse '(0,0,{PAST_LIMIT})' as a vertex or quadruple",
+            id="past-the-digit-limit", marks=needs_digit_limit,
+        ),
     ],
 )
 def test_hom_point_errors_are_pinned(capsys, source, target, message):
@@ -93,6 +108,61 @@ def test_point_parser_reads_printed_points():
     q = Quadruple(-1, 0, 1, 1)
     assert cli._parse_point(spec, " ( -1, 0 , 1, 1 ) ") == q
     assert cli._parse_point(spec, str(tuple(GammaVertex(1, 0, 0)))) == GammaVertex(1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # int() read these as L(10,0), L(1,0), the window [0, 10] and [0, 0]
+        (("--algebra", "1_0,0", "ar-export"), "--algebra expects integers, got '1_0,0'"),
+        (("--algebra", "\u0661,0", "ar-export"), "--algebra expects integers, got '\u0661,0'"),
+        (("--algebra", "1,0", "ar-export", "--a", "0:1_0"), "--a expects integers, got '0:1_0'"),
+        (("--algebra", "1,0", "verify", "--k", "\uff10:0"), "--k expects integers, got '\uff10:0'"),
+        (("--algebra", "1,\x1c0", "ar-export"), "--algebra expects integers, got '1,\\x1c0'"),
+        (("--algebra", "1,0,0", "ar-export"), "--algebra expects N,M, got '1,0,0'"),
+        (("--algebra", "1,0", "rigidity-check", "--b", "0"), "--b expects LO:HI, got '0'"),
+        pytest.param(
+            ("--algebra", "1,0", "ar-export", "--b", f"0:{PAST_LIMIT}"),
+            f"--b expects integers, got '0:{PAST_LIMIT}'",
+            id="past-the-digit-limit", marks=needs_digit_limit,
+        ),
+    ],
+)
+def test_pairs_read_integers_by_the_one_rule(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("verify", "--l"), ("verify", "--seed"), ("rigidity-check", "--seed"),
+                      ("rigidity-check", "--count")]
+)
+@pytest.mark.parametrize("value", ["0_1", "\u0661", "1.0", "\x1c1", "0x1", ""])
+def test_integer_flags_read_integers_by_the_one_rule(capsys, command, flag, value):
+    # int() read "0_1" and "\u0661" as 1
+    with pytest.raises(SystemExit) as exc:
+        main(["--algebra", "1,0", command, f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected an integer, got {value!r}\n" in capsys.readouterr().err
+
+
+@needs_digit_limit
+def test_integer_flags_name_the_digit_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--algebra", "1,0", "verify", "--seed", PAST_LIMIT])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: integer 100000000000... has more than {DIGIT_LIMIT} digits\n" in err
+
+
+def test_integers_keep_their_sign_and_whitespace_spellings(capsys):
+    window = ("--k", "0:0", "--l", "1", "--a", "0:1", "--b", "0:1", "--seed", "3")
+    plain = run(capsys, "--algebra", "2,1", "verify", *window, "--format", "json")
+    spelled = ("--k", "+0: -0", "--l", " +1", "--a", "00:\t1", "--b", "0:1\u2003", "--seed", "+03")
+    assert run(capsys, "--algebra", " 2 , +1 ", "verify", *spelled, "--format", "json") == plain
+    assert plain[0] == 0
+    plain = run(capsys, "--algebra", "1,0", "rigidity-check", "--count", "2", "--seed", "1")
+    assert run(capsys, "--algebra", "1,0", "rigidity-check", "--count", "+2 ", "--seed", "\t01") == plain
 
 
 def test_bad_algebra_parameter(capsys):
@@ -436,6 +506,50 @@ def test_rigidity_check_input_rejects_floats_and_bools(capsys, tmp_path, field, 
     code, out, err = run(capsys, "--algebra", "1,0", "rigidity-check", "--input", str(path))
     assert (code, out) == (2, "")
     assert err.strip() == f"error: cannot load pseudo-identity data: TypeError: {problem}"
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        # the interpreter worded these: "AlgebraSpec.__init__() takes 3
+        # positional arguments but 4 were given", "too many values to unpack"
+        ("algebra", [1, 0, 99], "expected 2 algebra parameters, got 3"),
+        ("algebra", [1, 0, "x"], "expected 2 algebra parameters, got 3"),
+        ("algebra", [1], "expected 2 algebra parameters, got 1"),
+        ("window", [0, 0, 0, 1, 5], "expected 4 window bounds, got 5"),
+        ("window", [0, 0, 0], "expected 4 window bounds, got 3"),
+    ],
+)
+def test_rigidity_check_input_demands_the_envelope_arity(capsys, tmp_path, field, value, problem):
+    obj = json.loads(json.dumps(HAND_MADE))
+    obj[field] = value
+    path = tmp_path / "hand.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "--algebra", "1,0", "rigidity-check", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: cannot load pseudo-identity data: TypeError: {problem}"
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "written, problem",
+    [
+        (json.dumps(PAST_LIMIT), "coefficient 100000000000..."),
+        (json.dumps(f"1/{PAST_LIMIT}"), "coefficient 100000000000..."),
+        # json converts a number before the loader sees which field holds it
+        (PAST_LIMIT, "integer 100000000000..."),
+    ],
+    ids=["string", "denominator", "number"],
+)
+def test_rigidity_check_input_names_the_digit_limit(capsys, tmp_path, written, problem):
+    # the interpreter's message named sys.set_int_max_str_digits() instead
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(HAND_MADE).replace('"f": "1"', f'"f": {written}', 1))
+    code, out, err = run(capsys, "--algebra", "1,0", "rigidity-check", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.strip() == (
+        f"error: cannot load pseudo-identity data: {problem} has more than {DIGIT_LIMIT} digits"
+    )
 
 
 def test_rigidity_check_input_reads_integer_coefficients(capsys, tmp_path):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -447,6 +448,8 @@ def test_loader_reads_only_json_integers(algebra, degrees, differentials, proble
             '{"0":[[[[[0],1,1]]]],"-0":[]}',
             "differentials keys '0' and '-0' name one degree",
         ),
+        # \s matches the separator \x1c and int() refuses it, in its own words
+        ('{"\\u001c3":[0]}', "{}", "degrees key '\\x1c3' is not an integer"),
     ],
 )
 def test_degree_keys_are_signed_ascii_integers(degrees, differentials, message):
@@ -454,6 +457,30 @@ def test_degree_keys_are_signed_ascii_integers(degrees, differentials, message):
     with pytest.raises(ValueError) as info:
         loads_complex(text)
     assert str(info.value) == f"malformed complex: {message}"
+
+
+@pytest.mark.parametrize("algebra, count", [("[1,0,99]", 3), ('[1,0,"x"]', 3), ("[1]", 1)])
+def test_loader_demands_two_algebra_parameters(algebra, count):
+    # the loader read algebra[:2], so [1,0,99] and [1,0,"x"] loaded as L(1,0)
+    text = f'{{"schema":1,"algebra":{algebra},"degrees":{{"0":[0]}},"differentials":{{}}}}'
+    with pytest.raises(ValueError) as info:
+        loads_complex(text)
+    assert str(info.value) == f"malformed complex: TypeError: expected 2 algebra parameters, got {count}"
+
+
+def test_loader_names_the_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() converts any number of digits")
+    long = "1" + "0" * limit
+    # the interpreter's message named sys.set_int_max_str_digits() instead
+    head = '{"schema":1,"algebra":[1,0],"degrees":'
+    with pytest.raises(ValueError) as info:
+        loads_complex(head + f'{{"{long}":[0]}},"differentials":{{}}}}')
+    assert str(info.value) == f"malformed complex: degrees key 100000000000... has more than {limit} digits"
+    with pytest.raises(ValueError) as info:
+        loads_complex(head + f'{{"0":[0],"1":[0]}},"differentials":{{"0":[[[[[0],{long},1]]]]}}}}')
+    assert str(info.value) == f"integer 100000000000... has more than {limit} digits"
 
 
 def test_degree_keys_may_carry_a_sign_and_whitespace():

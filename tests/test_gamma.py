@@ -52,6 +52,7 @@ from kbproj.gamma import (
     zero_hom,
 )
 from kbproj.quadruples import Quadruple, build_complex, suspend_quadruple
+from kbproj.rigidity import ConnectingIsoData
 
 
 def grid(spec: AlgebraSpec, lo: int, hi: int) -> list[GammaVertex]:
@@ -124,6 +125,28 @@ def test_normal_form_rejects_missing_generators():
     with pytest.raises(ValueError):
         GammaHom(spec, v, u, Fraction(1), Fraction(0))
     GammaHom(spec, v, u, Fraction(0), Fraction(1))  # second kind exists
+
+
+@pytest.mark.parametrize("coeff", [0.1, 0.5, 1.0, True, "1e3", " 2 ", "1", None])
+def test_coefficients_are_read_as_ints_or_fractions(coeff):
+    # Fraction() read these: 0.1 became 3602879701896397/36028797018963968,
+    # and True, "1e3" and " 2 " loaded as 1, 1000 and 2
+    spec, v = AlgebraSpec(1, 0), GammaVertex(0, 0, 0)
+    refused = f"coefficient {coeff!r} is neither an int nor a Fraction"
+    for build in (
+        lambda: GammaHom(spec, v, v, coeff, 0),
+        lambda: GammaHom(spec, v, v, 1, coeff),
+        lambda: hom_scale(identity_hom(spec, v), coeff),
+        lambda: ConnectingIsoData(spec, ((v, coeff),)),
+    ):
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == refused
+    h = GammaHom(spec, v, v, 2, Fraction(4, 6))
+    assert (h.f_coeff, h.g_coeff) == (Fraction(2), Fraction(2, 3))
+    assert all(type(c) is Fraction for c in (h.f_coeff, h.g_coeff))
+    assert hom_scale(h, 3) == hom_scale(h, Fraction(3)) == GammaHom(spec, v, v, 6, 2)
+    assert ConnectingIsoData(spec, ((v, 1),)).mu(v) == Fraction(1)
 
 
 def test_sums_and_composites_reject_mixed_algebras():
