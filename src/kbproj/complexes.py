@@ -1,12 +1,13 @@
 """Bounded complexes of indecomposable projectives, up to homotopy.
 
 A complex stores, per degree, the tuple of vertices of its projective
-summands, and for each pair of consecutive nonempty degrees a matrix of
-path combinations.  The entry in row r, column c of the degree-i matrix
-is a combination of paths starting at the row vertex (degree i+1) and
-ending at the column vertex (degree i); it acts on module elements by
-right multiplication, so composition of matrices multiplies the left
-factor's entries by the right factor's entries in algebra order.
+summands, and for each pair of consecutive degrees with a nonzero
+differential its matrix of path combinations.  The entry in row r,
+column c of the degree-i matrix is a combination of paths starting at
+the row vertex (degree i+1) and ending at the column vertex (degree i);
+it acts on module elements by right multiplication, so composition of
+matrices multiplies the left factor's entries by the right factor's
+entries in algebra order.
 
 Everything here is exact: dimensions, homotopies and isomorphism checks
 reduce to rational linear algebra over the path basis.
@@ -76,9 +77,21 @@ def mat_is_zero(a: Matrix) -> bool:
     return all(not x for row in a for x in row)
 
 
+def _blocks_key(mats: dict[int, Matrix]) -> tuple:
+    """The key of degree-indexed matrices: (degree, entry keys by row), sorted by degree."""
+    return tuple(sorted((i, tuple(tuple(e.key() for e in row) for row in mat))
+                        for i, mat in mats.items()))
+
+
 @dataclass(frozen=True)
 class ProjComplex:
-    """Bounded complex of projectives over a fixed algebra."""
+    """Bounded complex of projectives over a fixed algebra.
+
+    Every complex the package builds is in one normal form: no degree
+    without summands and no all-zero differential, so two equal complexes
+    have one ``key()``.  Differentials are assembled by ``_blocks``, and
+    ``make_complex`` normalizes matrices that come from outside.
+    """
 
     spec: AlgebraSpec
     summands: dict[int, tuple[int, ...]]
@@ -107,12 +120,7 @@ class ProjComplex:
                 self.spec.n,
                 self.spec.m,
                 tuple(sorted((i, s) for i, s in self.summands.items())),
-                tuple(
-                    sorted(
-                        (i, tuple(tuple(e.key() for e in row) for row in mat))
-                        for i, mat in self.diffs.items()
-                    )
-                ),
+                _blocks_key(self.diffs),
             )
             object.__setattr__(self, "_key", k)
         return self._key
@@ -151,12 +159,14 @@ def _lowest(c: ProjComplex) -> int:
 
 
 def make_complex(spec: AlgebraSpec, summands, diffs) -> ProjComplex:
-    """Normalize raw dicts into a ProjComplex (no validation).
+    """Normalize raw dicts into a ProjComplex (no validation): the one
+    normalizer for matrices that come from outside ``_blocks``.
 
     Degrees without summands are dropped, and so is an all-zero
     differential whose shape fits its two degrees, so a zero differential
-    written out or left out gives the same complex.  Any other matrix is
-    kept, for validation to report its shape.
+    written out or left out gives the same complex, in the normal form of
+    ``ProjComplex``.  Any other matrix is kept, for validation to report
+    its shape.
     """
     norm_s = {int(i): tuple(v) for i, v in summands.items() if len(tuple(v))}
     norm_d = {}
@@ -262,12 +272,7 @@ class ChainMap:
         return mat_zero(len(self.target.summand(i)), len(self.source.summand(i)))
 
     def key(self) -> tuple:
-        return tuple(
-            sorted(
-                (i, tuple(tuple(e.key() for e in row) for row in mat))
-                for i, mat in self.components.items()
-            )
-        )
+        return _blocks_key(self.components)
 
     def is_zero(self) -> bool:
         return all(mat_is_zero(m) for m in self.components.values())
@@ -282,30 +287,38 @@ def make_chain_map(source: ProjComplex, target: ProjComplex, components) -> Chai
     return ChainMap(source, target, comps)
 
 
-def _chain_map(source: ProjComplex, target: ProjComplex, terms, t: int = 0) -> ChainMap:
-    """The map whose entry (r, col) at degree i + t is the sum of coeff * path
+def _blocks(terms, rows: dict, cols: dict, step: int = 0, t: int = 0) -> dict[int, Matrix]:
+    """The nonzero blocks by degree: entry (r, col) of block i + t sums coeff * path
     over the terms (coeff, (i, r, col, path)), each coeff nonzero and exact.
 
-    Every chain map built from entries is built here.  Block shapes come
-    from the two complexes; a degree with no nonzero entry is left out.
+    Every matrix the package assembles from entries is built here: chain map
+    components (step 0) and differentials (step 1).  Block i has
+    len(rows[i + step]) rows and len(cols[i]) columns; a term outside that
+    shape is dropped, and so is a degree with no nonzero entry.
 
-    >>> p, loop = stalk_complex(AlgebraSpec(1, 0), 0), Path(0, (0,))
+    >>> loop, s = Path(0, (0,)), {0: (0,), 1: (0,)}
     >>> terms = [(2, (0, 0, 0, loop)), (1, (0, 0, 0, Path(0, ()))), (-2, (0, 0, 0, loop))]
-    >>> _chain_map(p, p, terms).components, _chain_map(p, p, terms[::2]).components
-    ({0: ((e(0),),)}, {})
+    >>> _blocks(terms, s, s), _blocks(terms[::2], s, s), _blocks(terms, {}, s)
+    ({0: ((e(0),),)}, {}, {})
     """
     cells: dict[int, dict[tuple[int, int], dict]] = {}
     for coeff, (i, r, col, path) in terms:
         add_entry(cells.setdefault(i + t, {}).setdefault((r, col), {}), path, coeff)
     z = PathCombination.zero()
-    comps = {}
+    blocks = {}
     for i in sorted(cells):
-        entries = {rc: PathCombination(e) for rc, e in cells[i].items() if e}
+        nrows, ncols = len(rows.get(i + step, ())), len(cols.get(i, ()))
+        entries = {(r, col): PathCombination(e) for (r, col), e in cells[i].items()
+                   if e and r < nrows and col < ncols}
         if entries:
-            cols = range(len(source.summand(i)))
-            comps[i] = tuple(tuple(entries.get((r, col), z) for col in cols)
-                             for r in range(len(target.summand(i))))
-    return ChainMap(source, target, comps)
+            blocks[i] = tuple(tuple(entries.get((r, col), z) for col in range(ncols))
+                              for r in range(nrows))
+    return blocks
+
+
+def _chain_map(source: ProjComplex, target: ProjComplex, terms, t: int = 0) -> ChainMap:
+    """The map built by ``_blocks`` from the terms, with blocks shaped by the two complexes."""
+    return ChainMap(source, target, _blocks(terms, target.summands, source.summands, 0, t))
 
 
 def _unit_terms(summands: dict, coeff=lambda i: 1, row0=lambda i: 0):
@@ -392,24 +405,25 @@ def shift_chain_map(f: ChainMap, t: int) -> ChainMap:
 def mapping_cone(f: ChainMap) -> ProjComplex:
     """Cone of f: C -> D; degree i is C^{i+1} (+) D^i.
 
-    The differential is [[-d_C, 0], [f, d_D]] in that block layout.
+    The differential is [[-d_C, 0], [f, d_D]] in that block layout, built by
+    ``_blocks`` from the terms of each block at its offset.  ValueError on a
+    component of f whose shape does not match the summands.
     """
     c, d = f.source, f.target
-    spec = c.spec
+    for i, mat in f.components.items():
+        if not _fits(mat, len(d.summand(i)), len(c.summand(i))):
+            raise ValueError(f"degree {i}: component shape does not match summands")
     summands = {}
     for i in set(x - 1 for x in c.summands) | set(d.summands):
-        s = c.summand(i + 1) + d.summand(i)
-        if s:
+        if s := c.summand(i + 1) + d.summand(i):
             summands[i] = s
-    diffs = {}
-    for i in summands:
-        if i + 1 not in summands:
-            continue
-        zeros = mat_zero(1, len(d.summand(i)))[0]
-        upper = tuple(tuple(row) + zeros for row in mat_scale(c.diff(i + 1), -1))
-        pairs = zip(f.component(i + 1), d.diff(i), strict=True)
-        diffs[i] = upper + tuple(tuple(fr) + tuple(dr) for fr, dr in pairs)
-    return ProjComplex(spec, summands, diffs)
+    up = lambda i: len(c.summand(i + 1))  # where D's summands start in cone degree i
+    terms = chain(
+        ((-a, (i - 1, r, col, p)) for a, (i, r, col, p) in _map_terms(c.diffs, 0)),
+        ((a, (i - 1, up(i) + r, col, p)) for a, (i, r, col, p) in _map_terms(f.components, 0)),
+        ((a, (i, up(i + 1) + r, up(i) + col, p)) for a, (i, r, col, p) in _map_terms(d.diffs, 0)),
+    )
+    return ProjComplex(c.spec, summands, _blocks(terms, summands, summands, 1))
 
 
 def cone_maps(f: ChainMap) -> tuple[ChainMap, ChainMap]:
@@ -791,7 +805,9 @@ def minimal_model(c: ProjComplex) -> ProjComplex:
 
     Repeatedly splits off two-term contractible summands until every
     entry lies in the radical (no stationary coefficient); the result is
-    homotopy equivalent to the input and unique up to isomorphism.
+    homotopy equivalent to the input and unique up to isomorphism.  It
+    leaves ``make_complex`` to drop the emptied degrees and every all-zero
+    differential, so the model is in the one normal form of ``ProjComplex``.
     """
     spec = c.spec
     summands = {i: list(s) for i, s in c.summands.items()}
@@ -824,12 +840,7 @@ def minimal_model(c: ProjComplex) -> ProjComplex:
             del diffs[i - 1][col]
         for row in diffs.get(i + 1, ()):
             del row[r]
-    # all-zero differentials stay: only empty summands and matrices go
-    return ProjComplex(
-        spec,
-        {i: tuple(s) for i, s in summands.items() if s},
-        {i: tuple(map(tuple, mat)) for i, mat in diffs.items() if mat and mat[0]},
-    )
+    return make_complex(spec, summands, diffs)
 
 
 # -- Isomorphism in the homotopy category ------------------------------------

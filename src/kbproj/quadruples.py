@@ -14,16 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .algebra import (
-    AlgebraSpec,
-    Path,
-    PathCombination,
-    factor_path,
-    max_path,
-    stationary_path,
-    successor_power,
-)
-from .complexes import Matrix, ProjComplex, mat_zero, memo_table
+from .algebra import AlgebraSpec, factor_path, max_path, successor_power
+from .complexes import ProjComplex, _blocks, memo_table
 
 
 class Quadruple(NamedTuple):
@@ -90,40 +82,14 @@ def _build_complex(spec: AlgebraSpec, q: Quadruple) -> ProjComplex:
     _check_member(spec, q)
     k, u, l, v = q
     top = successor_power(spec, u, l)
-    has_tail = v != top
-
-    summands: dict[int, tuple[int, ...]] = {}
-    for i in range(k, k + l + 1):
-        summands[i] = (successor_power(spec, u, i - k),)
-    if has_tail:
-        if l == 0:
-            summands[k - 1] = (v,)
-        else:
-            summands[k + l - 1] = (successor_power(spec, u, l - 1), v)
-
-    diffs: dict[int, Matrix] = {}
-    sigma = lambda w: PathCombination.of(max_path(spec, w))
-    if not has_tail:
-        for i in range(k, k + l):
-            diffs[i] = ((sigma(successor_power(spec, u, i - k)),),)
-    else:
-        if l == 0:
-            diffs[k - 1] = ((PathCombination.of(factor_path(spec, v, u)),),)
-        else:
-            for i in range(k, k + l - 2):
-                diffs[i] = ((sigma(successor_power(spec, u, i - k)),),)
-            if l >= 2:
-                diffs[k + l - 2] = (
-                    (sigma(successor_power(spec, u, l - 2)),),
-                    (PathCombination.zero(),),
-                )
-            diffs[k + l - 1] = (
-                (
-                    sigma(successor_power(spec, u, l - 1)),
-                    PathCombination.of(factor_path(spec, v, top)),
-                ),
-            )
-    return ProjComplex(spec, summands, diffs)
+    summands = {i: (successor_power(spec, u, i - k),) for i in range(k, k + l + 1)}
+    # one term per chain arrow, from the chain summand (column 0) to the next one (row 0)
+    terms = [(1, (i, 0, 0, max_path(spec, s[0]))) for i, s in summands.items() if i < k + l]
+    if v != top:
+        # the tail summand P_v, last in degree k + l - 1, maps to the top by a factor path
+        tail = summands[k + l - 1] = summands.get(k + l - 1, ()) + (v,)
+        terms.append((1, (k + l - 1, 0, len(tail) - 1, factor_path(spec, v, top))))
+    return ProjComplex(spec, summands, _blocks(terms, summands, summands, 1))
 
 
 def suspend_quadruple(q: Quadruple) -> Quadruple:

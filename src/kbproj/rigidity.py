@@ -79,7 +79,6 @@ from .gamma import (
     invert_hom,
     is_isomorphism,
     is_shifted_projective,
-    is_vertex,
     normal_triple,
     scaled,
     scaled_inverse,

@@ -1,11 +1,15 @@
-"""Every chain map built from entries goes through ``complexes._chain_map``,
-and ``minimal_model`` cleans up once after its loop.
+"""Every matrix built from entries goes through ``complexes._blocks``: chain
+maps by ``_chain_map``, and the differentials of ``mapping_cone`` and
+``quadruples._build_complex``.  ``minimal_model`` ends with ``make_complex``.
 
 The constructions they replaced are kept here as references: the dense
 unit matrices and dense fills, the block concatenation of ``cone_maps``,
-the set-then-freeze basis maps, and the ``minimal_model`` that cleaned up
-after every pivot.  Each rebuilt map and each minimal model must equal its
-reference, ``key()`` included, over the six algebras.
+the set-then-freeze basis maps, the ``minimal_model`` that cleaned up
+after every pivot, the hand-built matrices of ``_build_complex`` and the
+row concatenation of ``mapping_cone``.  Each rebuilt map and complex must
+equal its reference, ``key()`` included, over the six algebras.  The old
+cone and minimal model kept all-zero differentials, so they are compared
+after ``make_complex`` brings them to the one normal form.
 """
 
 from __future__ import annotations
@@ -42,16 +46,32 @@ from kbproj.complexes import (
     is_contractible,
     is_isomorphic_K,
     make_chain_map,
+    make_complex,
     mapping_cone,
+    mat_is_zero,
+    mat_scale,
     mat_zero,
     minimal_model,
     scale_chain_map,
     shift,
     stalk_complex,
+    zero_chain_map,
 )
-from kbproj.gamma import GammaVertex, is_vertex, suspend_vertex, theta_vertex
-from kbproj.quadruples import build_complex, chain_tail_positions, enumerate_quadruples
-from kbproj.rigidity import _suspension_comparison
+from kbproj.gamma import GammaVertex, is_vertex, suspend_vertex, theta_hom, theta_vertex
+from kbproj.quadruples import (
+    Quadruple,
+    _build_complex,
+    _check_member,
+    build_complex,
+    chain_tail_positions,
+    enumerate_quadruples,
+)
+from kbproj.rigidity import (
+    _generator_hom,
+    _suspension_comparison,
+    conjugation_domain,
+    generator_keys,
+)
 from test_oracle_assembly import sample_complexes
 
 ALGEBRA_IDS = [f"L({n},{m})" for n, m in ALGEBRA_PARAMS]
@@ -228,6 +248,66 @@ def ref_minimal_model(c: ProjComplex) -> ProjComplex:
     )
 
 
+def ref_build_complex(spec: AlgebraSpec, q: Quadruple) -> ProjComplex:
+    """``quadruples._build_complex`` as it was, with hand-built 1x1, 2x1 and 1x2 matrices."""
+    _check_member(spec, q)
+    k, u, l, v = q
+    top = successor_power(spec, u, l)
+    has_tail = v != top
+    summands = {}
+    for i in range(k, k + l + 1):
+        summands[i] = (successor_power(spec, u, i - k),)
+    if has_tail:
+        if l == 0:
+            summands[k - 1] = (v,)
+        else:
+            summands[k + l - 1] = (successor_power(spec, u, l - 1), v)
+    diffs = {}
+    sigma = lambda w: PathCombination.of(max_path(spec, w))
+    if not has_tail:
+        for i in range(k, k + l):
+            diffs[i] = ((sigma(successor_power(spec, u, i - k)),),)
+    elif l == 0:
+        diffs[k - 1] = ((PathCombination.of(factor_path(spec, v, u)),),)
+    else:
+        for i in range(k, k + l - 2):
+            diffs[i] = ((sigma(successor_power(spec, u, i - k)),),)
+        if l >= 2:
+            zero = PathCombination.zero()
+            diffs[k + l - 2] = ((sigma(successor_power(spec, u, l - 2)),), (zero,))
+        diffs[k + l - 1] = (
+            (sigma(successor_power(spec, u, l - 1)), PathCombination.of(factor_path(spec, v, top))),
+        )
+    return ProjComplex(spec, summands, diffs)
+
+
+def ref_mapping_cone(f: ChainMap) -> ProjComplex:
+    """``mapping_cone`` as it was: block rows concatenated, all-zero differentials kept."""
+    c, d = f.source, f.target
+    summands = {}
+    for i in set(x - 1 for x in c.summands) | set(d.summands):
+        s = c.summand(i + 1) + d.summand(i)
+        if s:
+            summands[i] = s
+    diffs = {}
+    for i in summands:
+        if i + 1 not in summands:
+            continue
+        zeros = mat_zero(1, len(d.summand(i)))[0]
+        upper = tuple(tuple(row) + zeros for row in mat_scale(c.diff(i + 1), -1))
+        pairs = zip(f.component(i + 1), d.diff(i), strict=True)
+        diffs[i] = upper + tuple(tuple(fr) + tuple(dr) for fr, dr in pairs)
+    return ProjComplex(c.spec, summands, diffs)
+
+
+def normalized(c: ProjComplex) -> ProjComplex:
+    return make_complex(c.spec, c.summands, c.diffs)
+
+
+def has_zero_diff(c: ProjComplex) -> bool:
+    return any(mat_is_zero(m) for m in c.diffs.values())
+
+
 # -- The corpus ------------------------------------------------------------------
 
 
@@ -250,12 +330,44 @@ def assert_same(got, ref) -> None:
 @pytest.mark.parametrize("params", ALGEBRA_PARAMS, ids=ALGEBRA_IDS)
 def test_minimal_models_match_the_reference(params):
     spec = AlgebraSpec(*params)
+    v, zero = spec.vertices[0], PathCombination.zero()
+    # no constructor builds an all-zero differential, so this one is written out
+    written = ProjComplex(spec, {0: (v,), 1: (v,)}, {0: ((zero,),)})
     zero_diffs = 0
-    for c in corpus(spec):
-        model = minimal_model(c)
-        assert_same(model, ref_minimal_model(c))
-        zero_diffs += any(all(not e for row in m for e in row) for m in model.diffs.values())
-    # the comparison covers models that keep an all-zero differential
+    for c in corpus(spec) + [written]:
+        model, ref = minimal_model(c), ref_minimal_model(c)
+        assert_same(model, normalized(ref))
+        assert not has_zero_diff(model)
+        zero_diffs += has_zero_diff(ref)
+    # the comparison covers references that keep an all-zero differential
+    assert zero_diffs > 0
+
+
+@pytest.mark.parametrize("params", ALGEBRA_PARAMS, ids=ALGEBRA_IDS)
+def test_built_complexes_match_the_reference(params):
+    spec = AlgebraSpec(*params)
+    quads = enumerate_quadruples(spec, -3, 3, 5)
+    for q in quads:
+        assert_same(_build_complex(spec, q), ref_build_complex(spec, q))
+    # the window holds tails at l = 0, l = 1 and l >= 2
+    tails = {min(q.l, 2) for q in quads if q.v != successor_power(spec, q.u, q.l)}
+    assert tails == {0, 1, 2} or spec.m == 0
+
+
+@pytest.mark.parametrize("params", ALGEBRA_PARAMS, ids=ALGEBRA_IDS)
+def test_cones_match_the_normalized_reference(params):
+    spec = AlgebraSpec(*params)
+    keys = generator_keys(spec, conjugation_domain(spec, (-1, 1, -1, 1)))
+    maps = [theta_hom(_generator_hom(spec, key)) for key in keys]
+    ends = list({c.key(): c for f in maps for c in (f.source, f.target)}.values())
+    maps += [identity_chain_map(c) for c in ends]
+    maps += [zero_chain_map(a, b) for a in ends[::3] for b in ends[1::3] + [shift(a, -1)]]
+    zero_diffs = 0
+    for f in maps:
+        ref = ref_mapping_cone(f)
+        assert_same(mapping_cone(f), normalized(ref))
+        zero_diffs += has_zero_diff(ref)
+    # the comparison covers references that keep an all-zero differential
     assert zero_diffs > 0
 
 
