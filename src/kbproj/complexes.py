@@ -47,7 +47,7 @@ def mat_zero(nrows: int, ncols: int) -> Matrix:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+        tuple(x + y for x, y in zip(ra, rb, strict=True)) for ra, rb in zip(a, b, strict=True)
     )
 
 
@@ -363,6 +363,11 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
 
 
 def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
+    """f + g; ValueError unless the two maps share their source and their target,
+    and unless their components at each common degree have one shape."""
+    c, d = f.source, f.target
+    if any(x is not y and x.key() != y.key() for x, y in ((c, g.source), (d, g.target))):
+        raise ValueError("chain maps do not add: sources or targets differ")
     comps = {}
     for i in set(f.components) | set(g.components):
         if i not in g.components:
@@ -370,10 +375,13 @@ def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
         elif i not in f.components:
             mat = g.components[i]
         else:
-            mat = mat_add(f.components[i], g.components[i])
+            try:
+                mat = mat_add(f.components[i], g.components[i])
+            except ValueError:  # the strict zips of mat_add: the two shapes differ
+                raise ValueError(f"degree {i}: component shape does not match summands") from None
         if not mat_is_zero(mat):
             comps[i] = mat
-    return ChainMap(f.source, f.target, comps)
+    return ChainMap(c, d, comps)
 
 
 def scale_chain_map(f: ChainMap, coeff) -> ChainMap:
@@ -863,11 +871,11 @@ def _signature(c: ProjComplex) -> tuple:
 def is_isomorphic_K(c: ProjComplex, d: ProjComplex) -> IsoResult:
     """Isomorphism test in the homotopy category, with explicit witnesses.
 
-    Minimal models are compared degreewise first (an exact invariant);
-    on a match, candidate isomorphisms are searched among hom basis
-    elements and a few combinations, and the first one that
-    ``homotopy_inverse`` certifies is returned with its inverse.
-    Complete whenever one side is indecomposable up to homotopy.
+    Minimal models are compared degreewise first (an exact invariant); on a
+    match, the candidates are the hom basis elements, their sum and six
+    combinations drawn from ``random.Random(0)``, each built only when it is
+    reached.  The first that ``homotopy_inverse`` certifies is returned with
+    its inverse.  Complete whenever one side is indecomposable up to homotopy.
     """
     if c.spec != d.spec:
         raise ValueError("isomorphism across different algebras")
@@ -877,14 +885,13 @@ def is_isomorphic_K(c: ProjComplex, d: ProjComplex) -> IsoResult:
     if model.is_zero():  # a minimal model is zero exactly when the complex is contractible
         return IsoResult(True, zero_chain_map(c, d), zero_chain_map(d, c))
     forward = hom_space(c, d).basis
-    candidates = list(forward)
+    coeffs = []
     if len(forward) > 1:
-        candidates.append(combine_chain_maps(c, d, forward, dict.fromkeys(range(len(forward)), 1)))
         rng = random.Random(0)
-        for _ in range(6):
-            coeffs = {j: rng.randint(1, 7) for j in range(len(forward))}
-            candidates.append(combine_chain_maps(c, d, forward, coeffs))
-    for f in candidates:
+        coeffs = [dict.fromkeys(range(len(forward)), 1)]
+        coeffs += [{j: rng.randint(1, 7) for j in range(len(forward))} for _ in range(6)]
+    combos = (combine_chain_maps(c, d, forward, x) for x in coeffs)
+    for f in chain(forward, combos):
         g = homotopy_inverse(f)
         if g is not None:
             return IsoResult(True, f, g)

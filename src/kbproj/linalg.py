@@ -4,9 +4,9 @@ Vectors are dicts column -> coefficient with zeros absent; a coefficient
 is an int, or a Fraction only when its value is no integer (``exact``).
 Rank, nullspaces and span solving share one elimination step,
 ``_insert``: a row is reduced against the echelon and kept, with pivot
-coefficient 1, if anything is left.  Only ``SpanSolver`` tracks how each
-row combines its generators.  Everything is deterministic: a row's pivot
-is its smallest column index.
+coefficient 1, if anything is left.  ``nullspace`` tracks how each row
+combines the matrix columns, ``SpanSolver`` how it combines generators.
+Everything is deterministic: a row's pivot is its smallest column index.
 """
 
 from __future__ import annotations
@@ -90,42 +90,32 @@ def _insert(echelon: list, row: dict, combo: dict | None = None) -> bool:
     return True
 
 
-def _echelon(rows) -> list:
+def rank(rows) -> int:
+    """Rank of a sparse matrix given as an iterable of dict rows."""
     echelon: list = []
     for raw in rows:
         _insert(echelon, _row(raw))
-    return echelon
-
-
-def rank(rows) -> int:
-    """Rank of a sparse matrix given as an iterable of dict rows."""
-    return len(_echelon(rows))
+    return len(echelon)
 
 
 def nullspace(rows, ncols: int) -> list[dict]:
     """Basis of the right nullspace, one vector per free column.
 
-    Columns are 0..ncols-1; basis vectors come in increasing order of
-    their free column, each with coefficient 1 there.
+    Columns are 0..ncols-1.  Column j is reduced against the earlier ones,
+    tracking the combination {j: 1}; if it vanishes, j is free and that
+    combination is its basis vector, with 1 at j and 0 at every other free
+    column.  Basis vectors come in increasing order of their free column.
     """
-    echelon = sorted(_echelon(rows), key=lambda it: it[0])
-    # Back-substitute to reduced form so each basis vector reads off directly.
-    for idx in range(len(echelon) - 1, -1, -1):
-        pcol, prow, _ = echelon[idx]
-        for jdx in range(idx):
-            qrow = echelon[jdx][1]
-            if pcol in qrow:
-                _subtract_multiple(qrow, qrow[pcol], prow)
-    pivots = {pcol: prow for pcol, prow, _ in echelon}
+    columns: list[dict] = [{} for _ in range(ncols)]
+    for i, raw in enumerate(rows):
+        for j, c in _row(raw).items():
+            columns[j][i] = c
+    echelon: list = []
     basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = {free: 1}
-        for pcol, prow in pivots.items():
-            if free in prow:
-                vec[pcol] = -prow[free]
-        basis.append(vec)
+    for j, column in enumerate(columns):
+        combo = {j: 1}
+        if not _insert(echelon, column, combo):
+            basis.append(combo)
     return basis
 
 

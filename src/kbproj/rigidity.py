@@ -65,6 +65,7 @@ from .complexes import (
 from .gamma import (
     GammaHom,
     GammaVertex,
+    _delta_top,
     _in_F,
     _in_G,
     _scaled_hom,
@@ -128,7 +129,7 @@ def conjugation_domain(spec: AlgebraSpec, window: Window) -> tuple[GammaVertex, 
     a_lo, a_hi, b_lo, b_hi = window
     out = []
     for i in range(spec.n):
-        delta = spec.m if i == 0 else 0
+        delta = _delta_top(spec, i)
         a_cap = min(a_hi, b_hi + delta)
         for a in range(a_lo, a_cap + 1):
             for b in range(a - delta, b_hi + 1):
@@ -434,7 +435,7 @@ def construct_conjugation(F: PseudoIdentityData) -> AutomorphismFamily:
     a_lo, a_hi, b_lo, b_hi = F.window
     phi: dict[GammaVertex, tuple[int, int, int]] = {}
     for i in range(spec.n):
-        delta = spec.m if i == 0 else 0
+        delta = _delta_top(spec, i)
         for b in range(-delta, 1):
             phi[GammaVertex(i, 0, b)] = _GENERATORS["f"]
         for b in range(0, b_hi):
@@ -547,7 +548,7 @@ def standard_triangle(spec: AlgebraSpec, v: GammaVertex) -> StandardTriangle:
     """
     check_vertex(spec, v)
     i, a, b = v
-    delta = spec.m if i == 0 else 0
+    delta = _delta_top(spec, i)
     u = GammaVertex(i, a, b + 1)
     w = GammaVertex(i, b + 1 + delta, b + 1)
     sv = suspend_vertex(spec, v)

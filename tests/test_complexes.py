@@ -200,6 +200,28 @@ def test_identity_and_zero_maps():
     assert is_null_homotopic(add_chain_maps(ident, scale_chain_map(ident, -1)))
 
 
+def test_chain_maps_add_only_with_one_source_and_one_target():
+    spec = AlgebraSpec(1, 0)
+    p = stalk_complex(spec, 0)
+    ident = identity_chain_map(p)
+    # the identity of P[1] sits at degree -1: the sum had a component P has no room for
+    shifted = identity_chain_map(shift(p, 1))
+    for f, g in ((ident, shifted), (shifted, ident), (ident, zero_chain_map(p, shift(p, 1)))):
+        with pytest.raises(ValueError) as raised:
+            add_chain_maps(f, g)
+        assert str(raised.value) == "chain maps do not add: sources or targets differ"
+    # a map P -> P with the 2x2 components of the identity of P (+) P: zip truncated the sum
+    wide = ChainMap(p, p, identity_chain_map(direct_sum(p, p)).components)
+    for f, g in ((ident, wide), (wide, ident)):
+        with pytest.raises(ValueError) as raised:
+            add_chain_maps(f, g)
+        assert str(raised.value) == "degree 0: component shape does not match summands"
+    # equal endpoints that are different objects still add
+    twin = identity_chain_map(stalk_complex(spec, 0))
+    assert twin.source is not p
+    assert add_chain_maps(ident, twin).components == {0: ((PathCombination.of(Path(0, ()), 2),),)}
+
+
 def _unit(v: int) -> PathCombination:
     return PathCombination.of(Path(v, ()))
 

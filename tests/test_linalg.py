@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ALGEBRA_PARAMS
+from kbproj.algebra import AlgebraSpec
+from kbproj.complexes import _chain_equations, _hom_variables
 from kbproj.linalg import SpanSolver, nullspace, rank
+from test_oracle_assembly import sample_complexes
 
 
 def test_rank_examples():
@@ -267,3 +271,22 @@ def test_linalg_agrees_with_an_all_fraction_reference(data):
         got = solver.solve(rhs)
         assert got == _reference_solve(relations, generators, rhs, ncols)
         assert got is None or all(type(c) is Fraction for c in got.values())
+
+
+@pytest.mark.parametrize("params", ALGEBRA_PARAMS, ids=lambda p: f"L({p[0]},{p[1]})")
+def test_nullspace_agrees_with_the_reference_on_the_oracle_systems(params):
+    """The chain equations of every pair of sample complexes: wider systems
+    than the five columns the Hypothesis tests draw."""
+    spec = AlgebraSpec(*params)
+    complexes = sample_complexes(spec)
+    widest = 0
+    for c in complexes:
+        for d in complexes:
+            fvars = _hom_variables(c, d, 0)
+            eqs = _chain_equations(c, d, fvars)
+            kernel = nullspace(eqs, len(fvars))
+            assert kernel == _reference_nullspace(eqs, len(fvars))
+            for vec in kernel:
+                _assert_normal_form(vec)
+            widest = max(widest, len(fvars))
+    assert widest > 5

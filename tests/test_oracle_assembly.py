@@ -33,6 +33,7 @@ from kbproj.complexes import (
     compose_chain_maps,
     direct_sum,
     hom_space,
+    homotopy_inverse,
     identity_chain_map,
     is_isomorphic_K,
     is_null_homotopic,
@@ -350,3 +351,33 @@ def test_isomorphism_witnesses_match_the_reference():
         assert (result.forward.key(), result.backward.key()) == ref_iso_witnesses(left, right)
         seen_multi |= len(hom_space(left, right).basis) > 1
     assert seen_multi
+
+
+DOUBLED = [(p, v) for p in ALGEBRA_PARAMS for v in AlgebraSpec(*p).vertices]
+
+
+@pytest.mark.parametrize("params, v", DOUBLED, ids=[f"L({n},{m})-P{v}" for (n, m), v in DOUBLED])
+def test_a_doubled_projective_is_decided_by_a_seeded_combination(params, v):
+    """No basis map of End(P_v (+) P_v) and not their sum is an isomorphism;
+    the first seeded combination that is one must be the forward witness."""
+    spec = AlgebraSpec(*params)
+    c = direct_sum(stalk_complex(spec, v), stalk_complex(spec, v))
+    result = is_isomorphic_K(c, c)
+    assert result
+    assert homotopy_inverse(result.forward).key() == result.backward.key()
+    assert homotopy_inverse(result.backward) is not None
+    basis = hom_space(c, c).basis
+    total = zero_chain_map(c, c)
+    for f in basis:
+        total = add_chain_maps(total, f)
+    rng = random.Random(0)
+    seeded = []
+    for _ in range(6):
+        combo = zero_chain_map(c, c)
+        for f in basis:
+            combo = add_chain_maps(combo, scale_chain_map(f, rng.randint(1, 7)))
+        seeded.append(combo)
+    # End has dimension 4 or 8: candidate 6 or 9, the second or the first seeded one
+    k = {4: 1, 8: 0}[len(basis)]
+    assert all(homotopy_inverse(f) is None for f in basis + [total] + seeded[:k])
+    assert result.forward.key() == seeded[k].key()

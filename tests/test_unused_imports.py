@@ -1,9 +1,11 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+module-level name goes unread by the package.
 
-``__init__`` is left out, since it imports the public API to re-export it.
-The one other re-export is listed: ``complexes.clear_caches``, which callers
-import from ``complexes``.  A name counts as used when the module's code
-reads it; a doctest that reads it alone does not count.
+``__init__`` is left out of the import check, since it imports the public
+API to re-export it.  The one other re-export is listed:
+``complexes.clear_caches``, which callers import from ``complexes``.  A name
+counts as used when the package's code reads it; a doctest or a test that
+reads it alone does not count.
 """
 
 from __future__ import annotations
@@ -37,3 +39,29 @@ def test_the_package_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path) == []
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The module-level functions, classes and assignments named with one leading underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_module_level_name_is_read_by_the_package():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = [(stem, name) for stem, tree in trees.items() for name in private_definitions(tree)]
+    assert len(defined) > 50
+    assert [f"{stem}.{name}" for stem, name in defined if name not in read] == []
