@@ -40,16 +40,18 @@ def clear_caches() -> None:
         table.clear()
 
 
-def memoized(name: str):
-    """Memoize a function of hashable arguments in the table ``name``."""
+def memoized(name: str, key=None):
+    """The one memo mechanism: memoize fn in the table ``name``, keyed on
+    ``key(*args)``, or on the arguments when no key is given."""
     table = memo_table(name)
 
     def decorate(fn):
         @wraps(fn)
         def cached(*args):
-            hit = table.get(args)
+            k = args if key is None else key(*args)
+            hit = table.get(k)
             if hit is None:
-                hit = table[args] = fn(*args)
+                hit = table[k] = fn(*args)
             return hit
 
         return cached
@@ -346,9 +348,9 @@ class PathTable(NamedTuple):
     """The nonzero paths of one algebra and all their products.
 
     ``paths[start, end]`` lists the paths between two vertices, sorted by
-    (length, arrow word), for every pair of vertices of the algebra.  ``products[p][q]`` is p*q, one of the table's
-    own paths or None for zero, for every pair where q ends at p's start:
-    in a monomial algebra a product of two paths is zero or one path.
+    (length, arrow word), for every pair of vertices of the algebra.
+    ``products[p][q]`` is p*q for every pair where q ends at p's start: the
+    table's own path with the concatenated word, or None for zero.
     """
 
     paths: dict[tuple[int, int], tuple[Path, ...]]
@@ -373,13 +375,11 @@ def path_table(spec: AlgebraSpec) -> PathTable:
                 stack.append(Path(u, (w,) + p.arrows))
     paths = {key: tuple(sorted(ps, key=Path.sort_key)) for key, ps in found.items()}
     canonical = {p: p for ps in paths.values() for p in ps}
-    products: dict[Path, dict[Path, Path | None]] = {p: {} for p in canonical}
-    for p in canonical:
-        for q in canonical:
-            if q.end == p.start:
-                products[p][q] = None
-                for pq, _ in compose_paths(spec, p, q).terms():
-                    products[p][q] = canonical[pq]
+    products = {
+        p: {q: canonical.get(Path(q.start, p.arrows + q.arrows))
+            for v in spec.vertices for q in paths[v, p.start]}
+        for p in canonical
+    }
     return PathTable(paths, products)
 
 

@@ -519,25 +519,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_window_tokens(argv: list[str]) -> list[str]:
-    """Join "--k -1:1" into "--k=-1:1" so negative windows parse."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if tok in ("--k", "--a", "--b") and nxt.startswith("-") and ":" in nxt:
-            out.append(f"{tok}={nxt}")
-            i += 2
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join a long option and a value that starts with "-" and a digit, as in
+    "--k -1:1" or "--from -1,0,0,0", into "--k=-1:1", which argparse parses."""
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev[:2] == "--" and len(prev) > 2 and "=" not in prev and tok[:1] == "-" and "0" <= tok[1:2] <= "9":
+            out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_merge_window_tokens(list(sys.argv[1:] if argv is None else argv)))
+    args = parser.parse_args(_join_negative_values(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.run(_algebra_spec(args.algebra), args)
     except UsageError as exc:

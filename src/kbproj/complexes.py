@@ -29,13 +29,10 @@ from .algebra import (
     PathCombination,
     algebra_product,
     clear_caches,
-    memo_table,
+    memoized,
     path_table,
 )
 from .linalg import SpanSolver, add_entry, exact, nullspace, rank
-
-_QUOTIENTS = memo_table("complexes.hom_quotient")
-
 
 Matrix = tuple[tuple[PathCombination, ...], ...]
 
@@ -225,6 +222,8 @@ def validate_complex(c: ProjComplex) -> str | None:
         for v in c.summand(i):
             if v not in spec.vertices:
                 return f"degree {i}: summand vertex {v} not in the algebra"
+    if not c.diffs:  # nothing to check against the path table, so it is not built
+        return None
     if problem := _matrices_problem(spec, c.diffs, lambda i: c.summand(i + 1), c.summand,
                                     "differential", "entry"):
         return problem
@@ -684,12 +683,13 @@ def quotient(c: ProjComplex, d: ProjComplex) -> HomQuotient:
     >>> up.solve(up.basis, shift_chain_map(hom.basis[0], 1)), up.rank(up.basis)
     ({0: Fraction(1, 1)}, 1)
     """
-    key = (c.nkey(), d.nkey(), _lowest(d) - _lowest(c))
-    core = _QUOTIENTS.get(key)
-    hom = HomQuotient(c, d, core)
-    if core is None:
-        _QUOTIENTS[key] = hom._core
-    return hom
+    return HomQuotient(c, d, _shared_core(c, d))
+
+
+@memoized("complexes.hom_quotient", key=lambda c, d: (c.nkey(), d.nkey(), _lowest(d) - _lowest(c)))
+def _shared_core(c: ProjComplex, d: ProjComplex) -> _QuotientCore:
+    """The core of a fresh HomQuotient(c, d), which checks the algebras first."""
+    return HomQuotient(c, d)._core
 
 
 def hom_space_dimension(c: ProjComplex, d: ProjComplex) -> int:

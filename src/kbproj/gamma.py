@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, memoized
 from .basismaps import in_phi, in_psi, phi_map, psi_map
-from .complexes import ChainMap, add_chain_maps, memo_table, scale_chain_map, zero_chain_map
+from .complexes import ChainMap, add_chain_maps, scale_chain_map, zero_chain_map
 from .linalg import exact
 from .quadruples import Quadruple, build_complex, in_calC
 
@@ -440,9 +440,10 @@ def theta_vertex(spec: AlgebraSpec, v: GammaVertex) -> Quadruple:
     return quad
 
 
-_THETA_HOMS = memo_table("gamma.theta_hom")
-
-
+@memoized(
+    "gamma.theta_hom",
+    key=lambda h: (h.spec, h.source, h.target, *h.f_coeff.as_integer_ratio(), *h.g_coeff.as_integer_ratio()),
+)
 def theta_hom(h: GammaHom) -> ChainMap:
     """Chain-map realization of a morphism, generator by generator.
 
@@ -453,14 +454,6 @@ def theta_hom(h: GammaHom) -> ChainMap:
     of ``build_complex``, so callers must not mutate it.
     ``complexes.clear_caches()`` empties the memo.
     """
-    key = (h.spec, h.source, h.target, *h.f_coeff.as_integer_ratio(), *h.g_coeff.as_integer_ratio())
-    chain = _THETA_HOMS.get(key)
-    if chain is None:
-        chain = _THETA_HOMS[key] = _theta_hom(h)
-    return chain
-
-
-def _theta_hom(h: GammaHom) -> ChainMap:
     spec = h.spec
     q_source = theta_vertex(spec, h.source)
     q_target = theta_vertex(spec, h.target)

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .algebra import AlgebraSpec, factor_path, max_path, successor_power
-from .complexes import ProjComplex, _blocks, memo_table
+from .algebra import AlgebraSpec, factor_path, max_path, memoized, successor_power
+from .complexes import ProjComplex, _blocks
 
 
 class Quadruple(NamedTuple):
@@ -57,9 +57,7 @@ def chain_tail_positions(spec: AlgebraSpec, q: Quadruple, i: int) -> tuple[int |
     return chain, tail
 
 
-_COMPLEXES = memo_table("quadruples.build_complex")
-
-
+@memoized("quadruples.build_complex", key=lambda spec, q: (spec, Quadruple(*q)))
 def build_complex(spec: AlgebraSpec, q: Quadruple) -> ProjComplex:
     """The minimal complex named by the quadruple.
 
@@ -67,18 +65,10 @@ def build_complex(spec: AlgebraSpec, q: Quadruple) -> ProjComplex:
     (present when v differs from the top of the successor orbit) maps in
     by the factor path of the top vertex.
 
-    Results are memoized per process on ``(spec, q)``: every caller asking
-    for the same quadruple gets the same object, so callers must not
-    mutate it.  ``complexes.clear_caches()`` empties the memo.
+    Results are memoized per process on ``(spec, Quadruple(*q))``: every
+    caller asking for the same quadruple values gets the same object, so
+    callers must not mutate it.  ``complexes.clear_caches()`` empties the memo.
     """
-    key = (spec, Quadruple(*q))
-    c = _COMPLEXES.get(key)
-    if c is None:
-        c = _COMPLEXES[key] = _build_complex(spec, key[1])
-    return c
-
-
-def _build_complex(spec: AlgebraSpec, q: Quadruple) -> ProjComplex:
     _check_member(spec, q)
     k, u, l, v = q
     top = successor_power(spec, u, l)

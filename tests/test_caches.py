@@ -2,8 +2,9 @@
 
 The path table, ``build_complex``, ``theta_hom``, the hom quotients
 and the rigidity window grids keep their results in memo tables
-registered in ``algebra``; a ``verify`` run fills every one of them, and
-``clear_caches`` empties them all.  A memoized object is shared by every
+registered in ``algebra``, each through ``algebra.memoized`` with its own
+key; a ``verify`` run fills every one of them, and ``clear_caches``
+empties them all.  A memoized object is shared by every
 caller, so these tests check that nothing changes one after it was
 stored, that a warm memo gives the same reports as a cold one, and that
 a fault toggled between two runs is not hidden by results of the first.
@@ -15,14 +16,16 @@ failing square, one degree below the only component or at it.
 
 from __future__ import annotations
 
+import ast
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from conftest import fault
 from kbproj import algebra, complexes, rigidity
-from kbproj.algebra import AlgebraSpec, Path, PathCombination
+from kbproj.algebra import AlgebraSpec, Path, PathCombination, memo_table
 from kbproj.cli import _functoriality_checks, _suite, main
 from kbproj.complexes import (
     clear_caches,
@@ -31,7 +34,6 @@ from kbproj.complexes import (
     make_chain_map,
     mat_is_zero,
     mat_mul,
-    memo_table,
     stalk_complex,
     validate_chain_map,
     zero_chain_map,
@@ -89,13 +91,13 @@ def test_memoized_objects_match_fresh_rebuilds():
 def test_build_complex_memo_is_keyed_on_the_quadruple_values():
     c = build_complex(L21, Quadruple(0, 0, 1, 1))
     assert build_complex(L21, (0, 0, 1, 1)) is c
+    assert build_complex(L21, [0, 0, 1, 1]) is c
     assert build_complex(AlgebraSpec(2, 1), Quadruple(0, 0, 1, 1)) is c
     assert build_complex(L21, Quadruple(1, 0, 1, 1)) is not c
 
 
 def test_clear_caches_empties_every_registered_table(capsys):
     assert complexes.clear_caches is algebra.clear_caches
-    assert complexes.memo_table is algebra.memo_table
     code, _ = verify_json(capsys)
     assert code == 0
     registry = algebra._MEMO_TABLES
@@ -104,6 +106,37 @@ def test_clear_caches_empties_every_registered_table(capsys):
     assert all(registry[name] for name in TABLES)
     clear_caches()
     assert all(not table for table in registry.values())
+
+
+def memo_table_callers(path: pathlib.Path) -> list[str]:
+    """Where a module calls ``memo_table``: module.function, or the module alone."""
+    out = []
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "memo_table" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                out.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{path.stem}.{child.name}" if inner else where)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return out
+
+
+def test_memo_table_is_called_only_by_memoized():
+    # one memo mechanism: no module keeps a table with get-and-store code of its own
+    modules = sorted(pathlib.Path(algebra.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    assert [where for path in modules for where in memo_table_callers(path)] == ["algebra.memoized"]
+
+
+def test_quotient_across_algebras_raises_before_storing_a_core():
+    c, d = stalk_complex(L21, 0), stalk_complex(AlgebraSpec(1, 0), 0)
+    with pytest.raises(ValueError, match="hom across different algebras"):
+        complexes.quotient(c, d)
+    assert not memo_table("complexes.hom_quotient")
 
 
 def test_hom_dimension_sweep_leaves_the_quotient_memo_empty():

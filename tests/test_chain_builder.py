@@ -1,11 +1,11 @@
 """Every matrix built from entries goes through ``complexes._blocks``: chain
 maps by ``_chain_map``, and the differentials of ``mapping_cone`` and
-``quadruples._build_complex``.  ``minimal_model`` ends with ``make_complex``.
+``quadruples.build_complex``.  ``minimal_model`` ends with ``make_complex``.
 
 The constructions they replaced are kept here as references: the dense
 unit matrices and dense fills, the block concatenation of ``cone_maps``,
 the set-then-freeze basis maps, the ``minimal_model`` that cleaned up
-after every pivot, the hand-built matrices of ``_build_complex`` and the
+after every pivot, the hand-built matrices of ``build_complex`` and the
 row concatenation of ``mapping_cone``.  Each rebuilt map and complex must
 equal its reference, ``key()`` included, over the six algebras.  The old
 cone and minimal model kept all-zero differentials, so they are compared
@@ -60,7 +60,6 @@ from kbproj.complexes import (
 from kbproj.gamma import GammaVertex, is_vertex, suspend_vertex, theta_hom, theta_vertex
 from kbproj.quadruples import (
     Quadruple,
-    _build_complex,
     _check_member,
     build_complex,
     chain_tail_positions,
@@ -249,7 +248,7 @@ def ref_minimal_model(c: ProjComplex) -> ProjComplex:
 
 
 def ref_build_complex(spec: AlgebraSpec, q: Quadruple) -> ProjComplex:
-    """``quadruples._build_complex`` as it was, with hand-built 1x1, 2x1 and 1x2 matrices."""
+    """``quadruples.build_complex`` as it was, with hand-built 1x1, 2x1 and 1x2 matrices."""
     _check_member(spec, q)
     k, u, l, v = q
     top = successor_power(spec, u, l)
@@ -348,7 +347,7 @@ def test_built_complexes_match_the_reference(params):
     spec = AlgebraSpec(*params)
     quads = enumerate_quadruples(spec, -3, 3, 5)
     for q in quads:
-        assert_same(_build_complex(spec, q), ref_build_complex(spec, q))
+        assert_same(build_complex(spec, q), ref_build_complex(spec, q))
     # the window holds tails at l = 0, l = 1 and l >= 2
     tails = {min(q.l, 2) for q in quads if q.v != successor_power(spec, q.u, q.l)}
     assert tails == {0, 1, 2} or spec.m == 0

@@ -43,6 +43,17 @@ def test_hom_text_examples(capsys):
     assert out.strip() == "dim 1: f"
 
 
+@pytest.mark.parametrize(
+    "source, target",
+    [("-1,0,0,0", "0,0,0,0"), ("0,0,0,0", "-1,0,0,0"), ("-1,0,1,1", "-1,0,0,0"), ("-1,0,0,0", "-2,-1,2,2")],
+)
+def test_hom_points_may_start_with_a_minus_sign(capsys, source, target):
+    # argparse takes a bare "-1,0,0,0" for an option; the CLI joins it to its flag
+    bare = run(capsys, "--algebra", "3,2", "hom", "--from", source, "--to", target)
+    assert bare == run(capsys, "--algebra", "3,2", "hom", "--from", f"({source})", "--to", f"({target})")
+    assert bare[0] == 0 and bare[1].startswith("dim ")
+
+
 def test_hom_quadruple_mode_with_oracle(capsys):
     code, out, _ = run(
         capsys,
@@ -126,6 +137,8 @@ def test_point_parser_reads_printed_points():
             f"--b expects integers, got '0:{PAST_LIMIT}'",
             id="past-the-digit-limit", marks=needs_digit_limit,
         ),
+        # argparse took "-1,0" for an option; joined to its flag, it reaches the algebra check
+        (("--algebra", "-1,0", "ar-export"), "--algebra needs N >= 1 and M >= 0, got '-1,0'"),
     ],
 )
 def test_pairs_read_integers_by_the_one_rule(capsys, argv, message):

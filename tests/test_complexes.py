@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import ALGEBRA_PARAMS
 from kbproj import complexes
-from kbproj.algebra import AlgebraSpec, Path, PathCombination, hom_basis_proj, make_path
+from kbproj.algebra import AlgebraSpec, Path, PathCombination, hom_basis_proj, make_path, memo_table
 from kbproj.complexes import (
     ChainMap,
     add_chain_maps,
@@ -488,6 +489,16 @@ def test_loader_demands_two_algebra_parameters(algebra, count):
     with pytest.raises(ValueError) as info:
         loads_complex(text)
     assert str(info.value) == f"malformed complex: TypeError: expected 2 algebra parameters, got {count}"
+
+
+def test_a_complex_without_differentials_loads_without_a_path_table():
+    # the path table of L(10^8, 0) has 10^8 vertices: building it did not end in 5 s
+    text = '{"schema":1,"algebra":[100000000,0],"degrees":{"0":[5]},"differentials":{}}'
+    start = time.perf_counter()
+    c = loads_complex(text)
+    assert time.perf_counter() - start < 1.0
+    assert repr(c) == "ProjComplex(0:[5])"
+    assert (AlgebraSpec(100000000, 0),) not in memo_table("algebra.path_table")
 
 
 def test_loader_names_the_digit_limit():
