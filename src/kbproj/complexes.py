@@ -123,14 +123,9 @@ class ProjComplex:
         return self._key
 
     def nkey(self) -> tuple:
-        """key() of shift(self, t) for the lowest degree t, read off key()."""
+        """key() of shift(self, t) for the lowest degree t: equal for every shift of self."""
         if self._nkey is None:
-            n, m, summands, diffs = self.key()
-            t = _lowest(self)
-            if t % 2:  # an odd shift negates every differential
-                diffs = [(i, tuple(tuple(tuple((s, w, -a, b) for s, w, a, b in e) for e in row)
-                                   for row in mat)) for i, mat in diffs]
-            k = _HashedKey((n, m, tuple((i - t, s) for i, s in summands), tuple((i - t, x) for i, x in diffs)))
+            k = _HashedKey(shift(self, _lowest(self)).key())
             k.hash = tuple.__hash__(k)
             object.__setattr__(self, "_nkey", k)
         return self._nkey
@@ -347,9 +342,14 @@ def validate_chain_map(f: ChainMap) -> str | None:
     return None if i is None else f"degree {i}: does not commute with the differentials"
 
 
+def _same(x: ProjComplex, y: ProjComplex) -> bool:
+    """Whether x and y are one complex: the same object, or equal keys."""
+    return x is y or x.key() == y.key()
+
+
 def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     """g after f."""
-    if f.target.key() != g.source.key():
+    if not _same(f.target, g.source):
         raise ValueError("chain maps do not compose: middle complexes differ")
     spec = f.source.spec
     comps = {}
@@ -365,7 +365,7 @@ def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     """f + g; ValueError unless the two maps share their source and their target,
     and unless their components at each common degree have one shape."""
     c, d = f.source, f.target
-    if any(x is not y and x.key() != y.key() for x, y in ((c, g.source), (d, g.target))):
+    if not (_same(c, g.source) and _same(d, g.target)):
         raise ValueError("chain maps do not add: sources or targets differ")
     comps = {}
     for i in set(f.components) | set(g.components):
@@ -455,11 +455,10 @@ def _hom_variables(c: ProjComplex, d: ProjComplex, offset: int) -> list:
     Raises ValueError on a summand vertex outside the algebra.
     """
     paths = path_table(c.spec).paths
-    degrees = sorted(c.summands)
-    t = degrees[0] if degrees else 0
+    t = _lowest(c)
     out = []
     try:
-        for i in degrees:
+        for i in sorted(c.summands):
             for r, tv in enumerate(d.summands.get(i + offset, ())):
                 for col, sv in enumerate(c.summands[i]):
                     for p in paths[tv, sv]:
@@ -636,8 +635,16 @@ class HomQuotient:
             core.lifted = (self.source, self.target, maps)
         return list(maps)
 
+    def _own(self, f: ChainMap) -> ChainMap:
+        """f, checked to run C -> D: a map between other complexes may still fit the grid."""
+        if not (_same(f.source, self.source) and _same(f.target, self.target)):
+            raise ValueError("maps must share source and target")
+        return f
+
     def contains(self, f: ChainMap) -> bool:
-        """Whether the chain map f: C -> D is null-homotopic."""
+        """Whether the chain map f: C -> D is null-homotopic, False off the
+        variable grid; ValueError when f runs between other complexes."""
+        self._own(f)
         try:
             vec = _map_vector(f, self._core.index)
         except ValueError:
@@ -645,16 +652,16 @@ class HomQuotient:
         return self._core.boundary.contains(vec)
 
     def rank(self, maps) -> int:
-        """Dimension of the span of the maps C -> D modulo null-homotopy."""
+        """Dimension of the span of the maps C -> D modulo null-homotopy; ValueError on others."""
         span = self._core.boundary.copy()
-        return sum(span.add_relation(_map_vector(f, self._core.index)) for f in maps)
+        return sum(span.add_relation(_map_vector(self._own(f), self._core.index)) for f in maps)
 
     def solve(self, generators, rhs: ChainMap) -> dict[int, Fraction] | None:
-        """Coefficients c_j with rhs ~ sum_j c_j generators[j], or None."""
+        """Coefficients c_j with rhs ~ sum_j c_j generators[j], or None; ValueError as in rank."""
         span = self._core.boundary.copy()
         for gen in generators:
-            span.add_generator(_map_vector(gen, self._core.index))
-        return span.solve(_map_vector(rhs, self._core.index))
+            span.add_generator(_map_vector(self._own(gen), self._core.index))
+        return span.solve(_map_vector(self._own(rhs), self._core.index))
 
 
 def quotient(c: ProjComplex, d: ProjComplex) -> HomQuotient:
@@ -708,15 +715,9 @@ def hom_space(c: ProjComplex, d: ProjComplex) -> HomQuotient:
 def homotopy_rank(maps: list[ChainMap]) -> int:
     """Rank of the span of the given chain maps in the homotopy category.
 
-    All maps must share source and target.
+    All maps must share source and target: ``HomQuotient.rank`` raises ValueError otherwise.
     """
-    if not maps:
-        return 0
-    first = maps[0]
-    for f in maps[1:]:
-        if f.source.key() != first.source.key() or f.target.key() != first.target.key():
-            raise ValueError("maps must share source and target")
-    return quotient(first.source, first.target).rank(maps)
+    return quotient(maps[0].source, maps[0].target).rank(maps) if maps else 0
 
 
 def is_null_homotopic(f: ChainMap) -> bool:

@@ -371,12 +371,6 @@ class AutomorphismFamily:
             index[vertex] = hom
         object.__setattr__(self, "_index", index)
 
-    def vertices(self) -> tuple[GammaVertex, ...]:
-        return tuple(v for v, _ in self.homs)
-
-    def __contains__(self, vertex: GammaVertex) -> bool:
-        return vertex in self._index
-
     def __getitem__(self, vertex: GammaVertex) -> GammaHom:
         return self._index[vertex]
 
@@ -609,9 +603,6 @@ class ConnectingIsoData:
     def vertices(self) -> tuple[GammaVertex, ...]:
         return tuple(v for v, _ in self.entries)
 
-    def __contains__(self, vertex: GammaVertex) -> bool:
-        return vertex in self._index
-
     def mu(self, vertex: GammaVertex) -> Fraction:
         return self._index[vertex]
 
@@ -675,16 +666,9 @@ def eta_domain(spec: AlgebraSpec, window: Window) -> tuple[GammaVertex, ...]:
     a_lo, a_hi, b_lo, b_hi = window
     out = set()
     for a in range(a_lo, a_hi + 1):
+        s = (a > 0) - (a < 0)  # each suspension step moves a and b by -s
         for b in range(max(a, b_lo), b_hi + 1):
-            j = a
-            vertex = GammaVertex(0, a, b)
-            while True:
-                out.add(vertex)
-                if j == 0:
-                    break
-                step = -1 if j > 0 else 1
-                j += step
-                vertex = GammaVertex(0, vertex.a + step, vertex.b + step)
+            out.update(GammaVertex(0, a - s * j, b - s * j) for j in range(abs(a) + 1))
     return tuple(sorted(out))
 
 

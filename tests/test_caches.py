@@ -8,7 +8,8 @@ empties them all.  A memoized object is shared by every
 caller, so these tests check that nothing changes one after it was
 stored, that a warm memo gives the same reports as a cold one, and that
 a fault toggled between two runs is not hidden by results of the first.
-The last tests check that ``validate_chain_map``, which applies the Hom
+Two AST guards keep one memo mechanism, ``algebra.memoized``, and one
+rule for "the same complex", ``complexes._same``.  The last tests check that ``validate_chain_map``, which applies the Hom
 differential to the map's own terms and so never multiplies out a
 square with no component on either side, still reports the lowest
 failing square, one degree below the only component or at it.
@@ -108,28 +109,46 @@ def test_clear_caches_empties_every_registered_table(capsys):
     assert all(not table for table in registry.values())
 
 
-def memo_table_callers(path: pathlib.Path) -> list[str]:
-    """Where a module calls ``memo_table``: module.function, or the module alone."""
+def sites(hit) -> list[str]:
+    """Where the package's modules hold a node that ``hit`` accepts:
+    module.function, or the module alone."""
     out = []
 
     def visit(node, where: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and "memo_table" in (
-                getattr(child.func, "id", None), getattr(child.func, "attr", None)
-            ):
+            if hit(child):
                 out.append(where)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, f"{path.stem}.{child.name}" if inner else where)
 
-    visit(ast.parse(path.read_text()), path.stem)
+    modules = sorted(pathlib.Path(algebra.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        visit(ast.parse(path.read_text()), path.stem)
     return out
+
+
+def calls_memo_table(node) -> bool:
+    return isinstance(node, ast.Call) and "memo_table" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
+def compares_two_keys(node) -> bool:
+    """A comparison with the results of two ``.key()`` calls among its operands."""
+    def is_key(x):
+        return isinstance(x, ast.Call) and getattr(x.func, "attr", None) == "key" and not x.args
+    return isinstance(node, ast.Compare) and sum(map(is_key, [node.left, *node.comparators])) >= 2
 
 
 def test_memo_table_is_called_only_by_memoized():
     # one memo mechanism: no module keeps a table with get-and-store code of its own
-    modules = sorted(pathlib.Path(algebra.__file__).parent.glob("*.py"))
-    assert len(modules) > 5
-    assert [where for path in modules for where in memo_table_callers(path)] == ["algebra.memoized"]
+    assert sites(calls_memo_table) == ["algebra.memoized"]
+
+
+def test_complexes_are_compared_by_key_only_in_same():
+    # one rule for "the same complex": every other check goes through _same
+    assert sites(compares_two_keys) == ["complexes._same"]
 
 
 def test_quotient_across_algebras_raises_before_storing_a_core():

@@ -262,6 +262,17 @@ def test_verify_membership_fault_breaks_dims(capsys):
     assert dims["failures"]
 
 
+def test_hom_oracle_reports_a_membership_fault(capsys):
+    args = ("--algebra", "2,1", "hom", "--from", "(-1,0,0,-1)", "--to", "(-1,-1,0,-1)", "--oracle", "on")
+    assert run(capsys, *args) == (0, "dim 0\noracle dim 0\n", "")
+    with fault("phi-membership"):
+        text = run(capsys, *args)
+        code, out, _ = run(capsys, *args, "--format", "json")
+    assert text == (1, "dim 1: phi\noracle dim 0\nMISMATCH\n", "")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
 def test_ar_export_dot_window(capsys):
     code, out, _ = run(capsys, "--algebra", "1,0", "ar-export")
     assert code == 0
@@ -458,6 +469,25 @@ def write_hand_made(tmp_path, **f_of_key) -> str:
     path = tmp_path / "hand.json"
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda images: images.append(images[0]), "duplicate image key f (0, 0, 0) -> (0, 0, 0)"),
+        (lambda images: images[0].update(kind="g", target=[0, 0, 1]),
+         "unexpected image key g (0, 0, 0) -> (0, 0, 1)"),
+    ],
+    ids=["duplicate", "unexpected"],
+)
+def test_rigidity_check_input_names_a_bad_image_key(capsys, tmp_path, edit, problem):
+    obj = json.loads(json.dumps(HAND_MADE))
+    edit(obj["images"])
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "--algebra", "1,0", "rigidity-check", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot load pseudo-identity data: {problem}\n"
 
 
 def doubled_at(vertex):

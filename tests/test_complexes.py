@@ -223,6 +223,18 @@ def test_chain_maps_add_only_with_one_source_and_one_target():
     assert add_chain_maps(ident, twin).components == {0: ((PathCombination.of(Path(0, ()), 2),),)}
 
 
+def test_chain_maps_compose_only_through_one_middle_complex():
+    # the cone of the loop and P (+) P[1] have one set of summands, not one differential
+    spec = AlgebraSpec(1, 0)
+    p = stalk_complex(spec, 0)
+    cone = mapping_cone(make_chain_map(p, p, {0: ((PathCombination.of(Path(0, (0,))),),)}))
+    split = direct_sum(p, shift(p, 1))
+    assert cone.summands == split.summands
+    with pytest.raises(ValueError) as raised:
+        compose_chain_maps(identity_chain_map(cone), identity_chain_map(split))
+    assert str(raised.value) == "chain maps do not compose: middle complexes differ"
+
+
 def _unit(v: int) -> PathCombination:
     return PathCombination.of(Path(v, ()))
 
@@ -325,8 +337,9 @@ def test_homotopy_rank_counts_modulo_null_maps():
     assert homotopy_rank([basis[0], basis[0]]) == 1
     assert homotopy_rank([zero_chain_map(c, c)]) == 0
     assert homotopy_rank([]) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         homotopy_rank([basis[0], identity_chain_map(shift(c, 1))])
+    assert str(raised.value) == "maps must share source and target"
 
 
 def test_direct_sum_addition_of_dimensions():

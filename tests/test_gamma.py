@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALGEBRA_PARAMS
+from kbproj import basismaps
 from kbproj.algebra import AlgebraSpec
 from kbproj.complexes import (
     add_chain_maps,
+    clear_caches,
     compose_chain_maps,
     hom_space_dimension,
     is_isomorphic_K,
@@ -280,6 +282,22 @@ def test_theta_hom_transports_bases(spec):
                 chain = theta_hom(h)
                 assert validate_chain_map(chain) is None
                 assert not is_null_homotopic(chain)
+
+
+@pytest.mark.parametrize("membership, kind", [("_in_phi", "phi"), ("_in_psi", "psi")])
+def test_theta_hom_leaves_the_basis_map_check_to_basismaps(monkeypatch, membership, kind):
+    # with the membership test broken, the generator's basis map is missing and
+    # theta_hom raises the error of phi_map or psi_map, which run the check
+    spec, v = AlgebraSpec(1, 0), GammaVertex(0, 0, 0)
+    generator = hom_f(spec, v, v) if kind == "phi" else hom_g(spec, v, v)
+    clear_caches()
+    monkeypatch.setattr(basismaps, membership, lambda spec, q_target, q_source: False)
+    try:
+        with pytest.raises(ValueError) as raised:
+            theta_hom(generator)
+        assert str(raised.value) == f"{kind} not defined for (0, 0, 0, 0) -> (0, 0, 0, 0)"
+    finally:
+        clear_caches()
 
 
 def test_theta_functoriality_small_window():

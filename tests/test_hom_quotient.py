@@ -25,8 +25,9 @@ import pytest
 
 from conftest import ALGEBRA_PARAMS
 from kbproj import complexes, rigidity
-from kbproj.algebra import AlgebraSpec, PathCombination, hom_basis_proj
+from kbproj.algebra import AlgebraSpec, Path, PathCombination, hom_basis_proj
 from kbproj.complexes import (
+    ChainMap,
     HomQuotient,
     ProjComplex,
     _chain_equations,
@@ -45,6 +46,7 @@ from kbproj.complexes import (
     is_isomorphic_K,
     is_null_homotopic,
     make_chain_map,
+    mapping_cone,
     mat_mul,
     mat_scale,
     minimal_model,
@@ -52,6 +54,7 @@ from kbproj.complexes import (
     scale_chain_map,
     shift,
     shift_chain_map,
+    stalk_complex,
     validate_chain_map,
     zero_chain_map,
 )
@@ -418,3 +421,33 @@ def test_is_isomorphic_K_lifts_the_backward_basis_once(monkeypatch):
     backward = [pair for pair in lifted if pair[0] is right and pair[1] is left]
     assert len(backward) == hom_space_dimension(right, left) > 1
     clear_caches()
+
+
+def test_quotients_answer_only_for_maps_between_their_own_complexes():
+    # the cones of the loop and of twice the loop on P_0 have one variable
+    # grid, so a map out of the second read as a vector of the first's quotient
+    spec = AlgebraSpec(1, 0)
+    p = stalk_complex(spec, 0)
+    loop = make_chain_map(p, p, {0: ((PathCombination.of(Path(0, (0,))),),)})
+    c1, c2 = mapping_cone(loop), mapping_cone(scale_chain_map(loop, 2))
+    g = hom_space(c2, p).basis[0]
+    hom = hom_space(c1, p)
+    asks = {
+        "solve": lambda: hom.solve(hom.basis, g),
+        "solve generator": lambda: hom.solve([g], hom.basis[0]),
+        "rank": lambda: hom.rank([g]),
+        "contains": lambda: hom.contains(g),
+        "homotopy_rank": lambda: homotopy_rank([hom.basis[0], g]),
+    }
+    for name, ask in asks.items():
+        with pytest.raises(ValueError) as raised:
+            ask()
+        assert str(raised.value) == "maps must share source and target", name
+    # equal complexes that are other objects are the same complex
+    twin = hom_space(mapping_cone(loop), stalk_complex(spec, 0)).basis[0]
+    assert twin.source is not c1
+    assert hom.solve(hom.basis, twin) == {0: Fraction(1)}
+    assert hom.rank([twin]) == 1 and not hom.contains(twin)
+    # a map C -> D with a component off the variable grid is no null-homotopy
+    off_grid = ChainMap(p, p, {1: ((PathCombination.of(Path(0, ())),),)})
+    assert quotient(p, p).contains(off_grid) is False

@@ -4,7 +4,7 @@ summands and no all-zero differential.
 Built complexes, cones, direct sums and minimal models are checked over the
 six algebras.  Each one equals its JSON round trip, ``key()`` included; its
 identity composes with the loaded copy's, and the two share one quotient
-core.  ``mapping_cone`` rejects a component of f of the wrong shape, since
+core, whose memo key ``nkey()`` is the key of the shift to degree 0.  ``mapping_cone`` rejects a component of f of the wrong shape, since
 the block builder would drop its out-of-shape entries without a word.
 """
 
@@ -68,6 +68,15 @@ def test_the_direct_sum_of_a_stalk_and_its_shift_has_no_differential(spec):
         p = stalk_complex(spec, v)
         s = direct_sum(p, shift(p, -1))
         assert s.summands == {0: (v,), 1: (v,)} and s.diffs == {}
+
+
+def test_nkey_is_the_key_of_the_shift_to_degree_zero(corpus):
+    # an odd lowest degree negates the differentials on the way to degree 0
+    assert any(c.diffs and min(c.summands) % 2 for c in corpus)
+    for c in corpus:
+        t = min(c.summands, default=0)
+        assert c.nkey() == shift(c, t).key()
+        assert shift(c, 1).nkey() == shift(c, -2).nkey() == c.nkey()
 
 
 def test_complexes_equal_their_json_round_trip(corpus):

@@ -167,6 +167,16 @@ def test_data_rejects_wrong_key_set():
         PseudoIdentityData(spec, WINDOW, data.images[:-1])
 
 
+def test_data_rejects_an_image_that_moves_endpoints():
+    spec = AlgebraSpec(1, 0)
+    data = identity_data(spec, (0, 0, 0, 1))
+    key = ("f", GammaVertex(0, 0, 0), GammaVertex(0, 0, 1))
+    images = tuple((k, identity_hom(spec, k[1]) if k == key else h) for k, h in data.images)
+    with pytest.raises(ValueError) as raised:
+        PseudoIdentityData(spec, data.window, images)
+    assert str(raised.value) == "image of f (0, 0, 0) -> (0, 0, 1) moves endpoints"
+
+
 def test_zero_coefficient_data_is_rejected():
     spec = AlgebraSpec(2, 1)
     data = identity_data(spec, WINDOW)
@@ -317,6 +327,31 @@ def test_coniso_free_for_the_loop():
     report = coniso_normal_form(spec, data)
     assert report.ok
     assert set(report.free) == set(vertices)
+
+
+def reference_eta_domain(window):
+    """eta_domain on L(1, 0), walking each orbit one suspension step at a time."""
+    a_lo, a_hi, b_lo, b_hi = window
+    out = set()
+    for a in range(a_lo, a_hi + 1):
+        for b in range(max(a, b_lo), b_hi + 1):
+            j = a
+            vertex = GammaVertex(0, a, b)
+            while True:
+                out.add(vertex)
+                if j == 0:
+                    break
+                step = -1 if j > 0 else 1
+                j += step
+                vertex = GammaVertex(0, vertex.a + step, vertex.b + step)
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize(
+    "window", [(-2, 2, -2, 2), (0, 0, 0, 0), (1, 3, -1, 4), (-3, -1, -4, 2), (-1, 4, 2, 3), (2, 1, 0, 3)]
+)
+def test_eta_domain_matches_the_orbit_walk(window):
+    assert eta_domain(AlgebraSpec(1, 0), window) == reference_eta_domain(window)
 
 
 def test_build_eta_trivializes_any_connecting_data():
