@@ -113,23 +113,20 @@ def successor(spec: AlgebraSpec, u: int) -> int:
     >>> successor(AlgebraSpec(1, 2), 0)
     0
     """
-    if u not in spec.vertices:
-        raise ValueError(f"vertex {u} not in {spec}")
-    if spec.n == 1:
-        return 0
-    if u < 0:
-        return 1
-    return (u + 1) % spec.n
+    return successor_power(spec, u, 1)
 
 
 def successor_power(spec: AlgebraSpec, u: int, j: int) -> int:
-    """j-fold iterate of :func:`successor` (j >= 0)."""
+    """j-fold iterate of :func:`successor` (j >= 0), the one successor rule.
+
+    Raises ValueError for j < 0 and for a vertex outside the algebra, j = 0 included.
+    """
     if j < 0:
         raise ValueError(f"negative iterate {j}")
-    if j == 0:
-        return u
     if u not in spec.vertices:
         raise ValueError(f"vertex {u} not in {spec}")
+    if j == 0:
+        return u
     if u >= 0:
         return (u + j) % spec.n
     return j % spec.n

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraSpec, Path, factor_path, max_path, successor_power
 from .complexes import ChainMap, _chain_map
-from .quadruples import Quadruple, build_complex, chain_tail_positions, in_calC
+from .quadruples import Quadruple, build_complex, in_calC, tail_position
 
 
 def _check_pair(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> None:
@@ -111,32 +111,27 @@ def hom_dim(spec: AlgebraSpec, q_source: Quadruple, q_target: Quadruple) -> int:
 def phi_map(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> ChainMap:
     """The unsigned basis map: factor path at the bottom, identities along
     the shared successor chain, and a tail-to-tail factor when the tops align.
+    Chain summands sit at index 0, tails at ``quadruples.tail_position``.
     """
     if not in_phi(spec, q_target, q_source):
         raise ValueError(f"phi not defined for {tuple(q_source)} -> {tuple(q_target)}")
     kp, up, lp, vp = q_target
     k, u, l, v = q_source
-    # bottom component
-    c_pos, _ = chain_tail_positions(spec, q_source, k)
-    t_pos, _ = chain_tail_positions(spec, q_target, k)
     anchor = successor_power(spec, up, k - kp)
-    terms = [(1, (k, t_pos, c_pos, factor_path(spec, u, anchor)))]
-    # identities along the shared chain
+    terms = [(1, (k, 0, 0, factor_path(spec, u, anchor)))]
     for i in range(k + 1, kp + lp + 1):
-        c_pos, _ = chain_tail_positions(spec, q_source, i)
-        t_pos, _ = chain_tail_positions(spec, q_target, i)
-        terms.append((1, (i, t_pos, c_pos, Path(successor_power(spec, u, i - k), ()))))
-    # tail to tail
-    top = successor_power(spec, u, l)
-    if k + l == kp + lp and v < top:
-        _, c_tail = chain_tail_positions(spec, q_source, k + l - 1)
-        _, t_tail = chain_tail_positions(spec, q_target, k + l - 1)
-        terms.append((1, (k + l - 1, t_tail, c_tail, factor_path(spec, v, vp))))
+        terms.append((1, (i, 0, 0, Path(successor_power(spec, u, i - k), ()))))
+    if k + l == kp + lp and v < successor_power(spec, u, l):
+        tail = factor_path(spec, v, vp)
+        terms.append((1, (k + l - 1, tail_position(q_target), tail_position(q_source), tail)))
     return _chain_map(build_complex(spec, q_source), build_complex(spec, q_target), terms)
 
 
 def psi_map(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> ChainMap:
-    """The signed basis map, with global sign (-1)^(k+l) of the source."""
+    """The signed basis map, with global sign (-1)^(k+l) of the source: its
+    tail (at ``quadruples.tail_position``) and, under the first rule, its top
+    map into the target's chain summands, at index 0.
+    """
     if not in_psi(spec, q_target, q_source):
         raise ValueError(f"psi not defined for {tuple(q_source)} -> {tuple(q_target)}")
     kp, up, lp, vp = q_target
@@ -144,21 +139,12 @@ def psi_map(spec: AlgebraSpec, q_target: Quadruple, q_source: Quadruple) -> Chai
     sign = 1 if (k + l) % 2 == 0 else -1
     top = successor_power(spec, u, l)
     terms = []
+    if v != top:
+        # under either rule the tail lands on the target's chain one degree below the top
+        anchor = successor_power(spec, up, k + l - 1 - kp)
+        terms.append((sign, (k + l - 1, 0, tail_position(q_source), factor_path(spec, v, anchor))))
     if _psi_r1(spec, q_target, q_source):
-        if v != top:
-            # tail lands on the target chain one step below the top
-            _, c_tail = chain_tail_positions(spec, q_source, k + l - 1)
-            t_pos, _ = chain_tail_positions(spec, q_target, k + l - 1)
-            anchor = successor_power(spec, up, k + l - 1 - kp)
-            terms.append((sign, (k + l - 1, t_pos, c_tail, factor_path(spec, v, anchor))))
-        c_pos, _ = chain_tail_positions(spec, q_source, k + l)
-        t_pos, _ = chain_tail_positions(spec, q_target, k + l)
-        terms.append((sign, (k + l, t_pos, c_pos, max_path(spec, top))))
-    else:
-        _, c_tail = chain_tail_positions(spec, q_source, k + l - 1)
-        t_pos, _ = chain_tail_positions(spec, q_target, k + l - 1)
-        anchor = successor_power(spec, up, lp)
-        terms.append((sign, (k + l - 1, t_pos, c_tail, factor_path(spec, v, anchor))))
+        terms.append((sign, (k + l, 0, 0, max_path(spec, top))))
     return _chain_map(build_complex(spec, q_source), build_complex(spec, q_target), terms)
 
 

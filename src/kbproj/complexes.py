@@ -60,7 +60,7 @@ def mat_mul(spec: AlgebraSpec, g: Matrix, f: Matrix) -> Matrix:
     out = []
     for s in range(len(g)):
         row = []
-        for c in range(len(f[0]) if f else 0):
+        for c in range(len(f[0])):
             acc = PathCombination.zero()
             for r in range(inner):
                 if f[r][c] and g[s][r]:
@@ -794,16 +794,12 @@ def homotopy_inverse(f: ChainMap) -> ChainMap | None:
 # -- Minimal models ----------------------------------------------------------
 
 
-def _invert_local(spec: AlgebraSpec, entry: PathCombination) -> PathCombination:
+def _invert_local(entry: PathCombination) -> PathCombination:
     """Inverse of a local-ring element (stationary part + nilpotent loop part)."""
     lam = entry.stationary_coefficient()
     if not lam:
         raise ValueError("entry has no invertible part")
-    vertex = None
-    for p, _ in entry.terms():
-        vertex = p.start
-        break
-    e = PathCombination.of(Path(vertex, ()))
+    e = PathCombination.of(Path(next(entry.terms())[0].start, ()))
     nil = entry - e.scale(lam)
     # nil squares to zero: the only cycles are powers of the length-1 loop
     return e.scale(Fraction(1, 1) / lam) - nil.scale(Fraction(1) / (lam * lam))
@@ -834,7 +830,7 @@ def minimal_model(c: ProjComplex) -> ProjComplex:
     while (pivot := find_pivot()) is not None:
         i, r, col = pivot
         mat = diffs[i]
-        inv = _invert_local(spec, mat[r][col])
+        inv = _invert_local(mat[r][col])
         for s, row in enumerate(mat):
             if s != r and row[col]:
                 for e, entry in enumerate(mat[r]):

@@ -12,6 +12,7 @@ quadruples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, NamedTuple
 
 from .algebra import AlgebraSpec, factor_path, max_path, memoized, successor_power
@@ -39,22 +40,13 @@ def _check_member(spec: AlgebraSpec, q: Quadruple) -> None:
         raise ValueError(f"{tuple(q)} is not in the family for {spec}")
 
 
-def chain_tail_positions(spec: AlgebraSpec, q: Quadruple, i: int) -> tuple[int | None, int | None]:
-    """(index of chain summand, index of tail summand) at degree i, or None."""
-    k, u, l, v = q
-    top = successor_power(spec, u, l)
-    has_tail = v != top
-    chain = None
-    tail = None
-    if has_tail and i == k + l - 1:
-        tail_pos = 0
-        if l > 0 and k <= i:
-            chain = 0
-            tail_pos = 1
-        tail = tail_pos
-    elif k <= i <= k + l:
-        chain = 0
-    return chain, tail
+def tail_position(q: Quadruple) -> int:
+    """Index of the tail summand P_v in degree k + l - 1 of ``build_complex(spec, q)``.
+
+    The chain summand is alone or first in each degree k..k+l, at index 0,
+    so the tail comes after it when l = q[2] > 0 and stands alone when l = 0.
+    """
+    return 1 if q[2] > 0 else 0
 
 
 @memoized("quadruples.build_complex", key=lambda spec, q: (spec, Quadruple(*q)))
@@ -63,7 +55,9 @@ def build_complex(spec: AlgebraSpec, q: Quadruple) -> ProjComplex:
 
     Chain summands carry maximal-path differentials; the tail summand
     (present when v differs from the top of the successor orbit) maps in
-    by the factor path of the top vertex.
+    by the factor path of the top vertex.  Layout: the chain summand of
+    degree i is successor^(i-k)(u) at index 0, and the tail is last in
+    degree k + l - 1, at :func:`tail_position`; the basis maps read it there.
 
     Results are memoized per process on ``(spec, Quadruple(*q))``: every
     caller asking for the same quadruple values gets the same object, so
@@ -77,8 +71,8 @@ def build_complex(spec: AlgebraSpec, q: Quadruple) -> ProjComplex:
     terms = [(1, (i, 0, 0, max_path(spec, s[0]))) for i, s in summands.items() if i < k + l]
     if v != top:
         # the tail summand P_v, last in degree k + l - 1, maps to the top by a factor path
-        tail = summands[k + l - 1] = summands.get(k + l - 1, ()) + (v,)
-        terms.append((1, (k + l - 1, 0, len(tail) - 1, factor_path(spec, v, top))))
+        summands[k + l - 1] = summands.get(k + l - 1, ()) + (v,)
+        terms.append((1, (k + l - 1, 0, tail_position(q), factor_path(spec, v, top))))
     return ProjComplex(spec, summands, _blocks(terms, summands, summands, 1))
 
 
@@ -94,15 +88,8 @@ def enumerate_quadruples(
 
     Lexicographic in (k, u, l, v); an empty window gives [].
     """
-    out = []
-    for k in range(k_min, k_max + 1):
-        for u in spec.vertices:
-            for l in range(l_max + 1):
-                top = successor_power(spec, u, l)
-                for v in spec.vertices:
-                    if v == top or (v < top <= 0):
-                        out.append(Quadruple(k, u, l, v))
-    return out
+    window = product(range(k_min, k_max + 1), spec.vertices, range(l_max + 1), spec.vertices)
+    return [q for q in map(Quadruple._make, window) if in_calC(spec, q)]
 
 
 # -- Homotopy strings ---------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -83,6 +84,44 @@ def test_successor_power_matches_iteration():
             for j in range(0, 2 * n + 3):
                 assert successor_power(spec, u, j) == at
                 at = successor(spec, at)
+
+
+def ref_successor(spec: AlgebraSpec, u: int) -> int:
+    """``successor`` as it was, with its own copy of the rule."""
+    if u not in spec.vertices:
+        raise ValueError(f"vertex {u} not in {spec}")
+    if spec.n == 1:
+        return 0
+    if u < 0:
+        return 1
+    return (u + 1) % spec.n
+
+
+def test_successor_is_the_first_iterate_and_keeps_the_old_rule():
+    calls = [
+        successor,
+        ref_successor,
+        lambda spec, u: successor_power(spec, u, 1),
+        lambda spec, u: successor_power(spec, u, 0),
+    ]
+    for n in range(1, 5):
+        for m in range(4):
+            spec = AlgebraSpec(n, m)
+            for u in spec.vertices:
+                assert successor(spec, u) == successor_power(spec, u, 1) == ref_successor(spec, u)
+            for u in (-m - 1, n):
+                for call in calls:
+                    with pytest.raises(ValueError, match=f"^{re.escape(f'vertex {u} not in {spec}')}$"):
+                        call(spec, u)
+
+
+def test_successor_power_checks_its_vertex_for_every_iterate():
+    spec = AlgebraSpec(1, 0)
+    for j in (0, 1):
+        with pytest.raises(ValueError, match=r"^vertex 5 not in AlgebraSpec\(n=1, m=0\)$"):
+            successor_power(spec, 5, j)
+    with pytest.raises(ValueError, match="^negative iterate -1$"):
+        successor_power(spec, 0, -1)
 
 
 def test_max_path_examples():

@@ -4,7 +4,8 @@ maps by ``_chain_map``, and the differentials of ``mapping_cone`` and
 
 The constructions they replaced are kept here as references: the dense
 unit matrices and dense fills, the block concatenation of ``cone_maps``,
-the set-then-freeze basis maps, the ``minimal_model`` that cleaned up
+the set-then-freeze basis maps with their per-degree layout lookup
+``chain_tail_positions``, the ``minimal_model`` that cleaned up
 after every pivot, the hand-built matrices of ``build_complex`` and the
 row concatenation of ``mapping_cone``.  Each rebuilt map and complex must
 equal its reference, ``key()`` included, over the six algebras.  The old
@@ -62,7 +63,6 @@ from kbproj.quadruples import (
     Quadruple,
     _check_member,
     build_complex,
-    chain_tail_positions,
     enumerate_quadruples,
 )
 from kbproj.rigidity import (
@@ -140,6 +140,28 @@ def _dense(source, target, entries) -> ChainMap:
     return make_chain_map(source, target, {i: tuple(tuple(r) for r in m) for i, m in comps.items()})
 
 
+def chain_tail_positions(spec: AlgebraSpec, q: Quadruple, i: int) -> tuple[int | None, int | None]:
+    """(index of chain summand, index of tail summand) at degree i, or None.
+
+    The layout of ``build_complex`` worked out again per degree, as the basis
+    maps did before they read ``quadruples.tail_position``.
+    """
+    k, u, l, v = q
+    top = successor_power(spec, u, l)
+    has_tail = v != top
+    chain = None
+    tail = None
+    if has_tail and i == k + l - 1:
+        tail_pos = 0
+        if l > 0 and k <= i:
+            chain = 0
+            tail_pos = 1
+        tail = tail_pos
+    elif k <= i <= k + l:
+        chain = 0
+    return chain, tail
+
+
 def ref_phi_map(spec, q_target, q_source) -> ChainMap:
     kp, up, lp, vp = q_target
     k, u, l, v = q_source
@@ -210,7 +232,7 @@ def ref_minimal_model(c: ProjComplex) -> ProjComplex:
     while (pivot := find_pivot()) is not None:
         i, r, col = pivot
         mat = diffs[i]
-        inv = _invert_local(spec, mat[r][col])
+        inv = _invert_local(mat[r][col])
         for s in range(len(mat)):
             for e in range(len(mat[0])):
                 if s != r and e != col and mat[r][e] and mat[s][col]:
@@ -383,20 +405,34 @@ def test_identities_and_cone_maps_match_the_reference(params):
                     assert_same(got, ref)
 
 
+# phi and psi maps with both quadruples in k in [-1, 1], l <= 4: 17,216 in all
+BASIS_MAPS_IN_WINDOW = {(1, 0): 170, (1, 1): 2141, (1, 2): 9943, (2, 0): 340, (2, 1): 1490, (3, 2): 3132}
+
+
 @pytest.mark.parametrize("params", ALGEBRA_PARAMS, ids=ALGEBRA_IDS)
 def test_basis_maps_match_the_reference(params):
     spec = AlgebraSpec(*params)
-    quads = enumerate_quadruples(spec, 0, 1, 2)
+    quads = enumerate_quadruples(spec, -1, 1, 4)
     built = 0
+    reached = set()
     for qs in quads:
+        k, u, l, v = qs
+        source_tail = v != successor_power(spec, u, l)
         for qt in quads:
-            if in_phi(spec, qt, qs):
+            phi, psi = in_phi(spec, qt, qs), in_psi(spec, qt, qs)
+            if phi:
                 assert_same(phi_map(spec, qt, qs), ref_phi_map(spec, qt, qs))
-                built += 1
-            if in_psi(spec, qt, qs):
+                reached.add("phi tail to tail" if source_tail and k + l == qt.k + qt.l else "phi")
+            if psi:
                 assert_same(psi_map(spec, qt, qs), ref_psi_map(spec, qt, qs))
-                built += 1
-    assert built > 0
+                reached.add("psi r1" if _psi_r1(spec, qt, qs) else "psi r2")
+            if source_tail and l == 0 and (phi or psi):
+                reached.add("source tail at l = 0")
+            built += phi + psi
+    assert built == BASIS_MAPS_IN_WINDOW[params]
+    # tails need a vertex below 0, so only the algebras with m > 0 reach the tail cases
+    tail_cases = {"phi tail to tail", "psi r2", "source tail at l = 0"}
+    assert reached == {"phi", "psi r1"} | (tail_cases if spec.m else set())
     vertices = [
         v
         for i in range(spec.n)

@@ -25,6 +25,7 @@ from kbproj.quadruples import (
     in_calC,
     string_to_quadruple,
     suspend_quadruple,
+    tail_position,
     validate_string,
 )
 
@@ -85,6 +86,45 @@ def test_enumerate_agrees_with_membership(spec):
         if in_calC(spec, Quadruple(k, u, l, v))
     ]
     assert sorted(got) == sorted(brute)
+
+
+def ref_enumerate_quadruples(spec: AlgebraSpec, k_min: int, k_max: int, l_max: int) -> list[Quadruple]:
+    """``enumerate_quadruples`` as it was, with the family rule written out inline."""
+    out = []
+    for k in range(k_min, k_max + 1):
+        for u in spec.vertices:
+            for l in range(l_max + 1):
+                top = successor_power(spec, u, l)
+                for v in spec.vertices:
+                    if v == top or (v < top <= 0):
+                        out.append(Quadruple(k, u, l, v))
+    return out
+
+
+@pytest.mark.parametrize("window", [(0, 0, 0), (-1, 1, 2), (-3, 3, 5), (2, 4, 7), (1, 0, 3), (0, 2, -1)])
+def test_enumerate_keeps_the_inline_rule(spec, window):
+    assert enumerate_quadruples(spec, *window) == ref_enumerate_quadruples(spec, *window)
+
+
+def test_build_complex_puts_the_chain_first_and_the_tail_at_tail_position():
+    """The layout the basis maps read, over the gate's window on the six algebras."""
+    tails = {}
+    for params in ALGEBRA_PARAMS:
+        spec = AlgebraSpec(*params)
+        for q in enumerate_quadruples(spec, -3, 3, 5):
+            k, u, l, v = q
+            c = build_complex(spec, q)
+            for i in range(k, k + l + 1):
+                assert c.summand(i)[0] == successor_power(spec, u, i - k)
+            has_tail = v != successor_power(spec, u, l)
+            assert sum(map(len, c.summands.values())) == l + 1 + has_tail
+            if has_tail:
+                assert len(c.summand(k + l - 1)) == tail_position(q) + 1
+                assert c.summand(k + l - 1)[-1] == v
+                tails[min(l, 2)] = tails.get(min(l, 2), 0) + 1
+    # l = 0 (the tail alone below the top), l = 1 and l >= 2 are all reached
+    assert sorted(tails) == [0, 1, 2]
+    assert sum(tails.values()) == 483
 
 
 def test_build_complex_layouts():

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-module-level name goes unread by the package.
+"""No module of the package imports a name it never uses, no private
+module-level name goes unread by the package, and no named function has a
+parameter it never reads.
 
 ``__init__`` is left out of the import check, since it imports the public
 API to re-export it.  The one other re-export is listed:
@@ -65,3 +66,41 @@ def test_every_private_module_level_name_is_read_by_the_package():
     defined = [(stem, name) for stem, tree in trees.items() for name in private_definitions(tree)]
     assert len(defined) > 50
     assert [f"{stem}.{name}" for stem, name in defined if name not in read] == []
+
+
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """``name(param)`` for each parameter of a named function that its body never reads.
+
+    A read in a nested function or lambda counts; a lambda's own parameters
+    are not checked, and neither are decorators, defaults or annotations.
+    """
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            out += [f"{node.name}({p})" for p in params if p not in read]
+    return out
+
+
+def test_the_parameter_check_reads_bodies_and_nested_functions():
+    tree = ast.parse(
+        "@deco(key=lambda spec, q: q)\n"
+        "def f(spec, q, *rest, flag=None, **kw):\n"
+        "    def g():\n"
+        "        return q\n"
+        "    spec = 1\n"
+        "    return g, kw, (lambda unused: 0)\n"
+    )
+    assert unread_parameters(tree) == ["f(spec)", "f(flag)", "f(rest)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_function_has_a_parameter_it_never_reads(path):
+    assert unread_parameters(ast.parse(path.read_text())) == []
