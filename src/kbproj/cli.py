@@ -6,17 +6,16 @@ Subcommands (all take --algebra N,M):
   quadruples, with an optional chain-level cross-check.
 - verify: the invariant suites (dimension agreement, basis maps,
   functoriality, suspension squares, irreducibles, triangles, rigidity)
-  on a window, with a JSON report; exit code 1 on any failure.  The
-  report's ``fault`` field is always null, kept so its bytes do not move.
+  on a window, with a JSON report; exit code 1 on any failure.
 - ar-export: the vertex grid with irreducible-map edges as DOT or JSON,
   shifted-projective vertices marked.
 - rigidity-check: seeded random pseudo-identity data (or data from a
   JSON file) run through validation, the conjugation construction, and
   the naturality check, shared with verify's rigidity suite.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  JSON
-reports are schema-versioned and byte-identical for identical inputs
-and seed.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  ``_emit``
+alone writes the report header ``{"schema": 2, "algebra": [n, m]}``; JSON
+reports are byte-identical for identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .basismaps import hom_dim, in_phi, in_psi, irr_targets_quadruple, phi_map, 
 from .complexes import (
     _INT_TEXT,
     _int_literal,
-    _schema_header,
     add_chain_maps,
     compose_chain_maps,
     hom_space_dimension,
@@ -163,9 +161,15 @@ def _window_vertices(spec: AlgebraSpec, a_span: tuple[int, int], b_span: tuple[i
     return out
 
 
-def _emit(obj: dict, fmt: str, text_lines: list[str]) -> None:
+# The version of the report format; the data formats keep complexes.SCHEMA_VERSION.
+REPORT_SCHEMA = 2
+
+
+def _emit(spec: AlgebraSpec, obj: dict, fmt: str, text_lines: list[str]) -> None:
+    """Print the text lines, or obj under the report header as canonical JSON."""
     if fmt == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        report = {"schema": REPORT_SCHEMA, "algebra": [spec.n, spec.m], **obj}
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -187,27 +191,19 @@ def cmd_hom(spec: AlgebraSpec, args: argparse.Namespace) -> int:
         oracle_pair = (source, target)
     labels = [label for label, member in members.items() if member]
     dim = len(labels)
-    obj = {
-        **_schema_header(spec),
-        "from": list(source),
-        "to": list(target),
-        "dim": dim,
-        "basis": labels,
-    }
+    obj = {"from": list(source), "to": list(target), "dim": dim, "basis": labels}
     lines = [f"dim {dim}: {', '.join(labels)}" if labels else f"dim {dim}"]
-    status = 0
     if args.oracle == "on":
         oracle_dim = hom_space_dimension(
             build_complex(spec, oracle_pair[0]), build_complex(spec, oracle_pair[1])
         )
         obj["oracle_dim"] = oracle_dim
+        obj["ok"] = oracle_dim == dim
         lines.append(f"oracle dim {oracle_dim}")
-        if oracle_dim != dim:
+        if not obj["ok"]:
             lines.append("MISMATCH")
-            obj["ok"] = False
-            status = 1
-    _emit(obj, args.format, lines)
-    return status
+    _emit(spec, obj, args.format, lines)
+    return 0 if obj.get("ok", True) else 1
 
 
 # -- verify ------------------------------------------------------------------------
@@ -370,11 +366,9 @@ def cmd_verify(spec: AlgebraSpec, args: argparse.Namespace) -> int:
     suites.append(_suite("rigidity", _rigidity_checks(spec, window, args.seed)))
     ok = all(not s["failures"] for s in suites)
     obj = {
-        **_schema_header(spec),
         "window": {"k": list(k_span), "l": args.l, "a": list(a_span), "b": list(b_span)},
         "seed": args.seed,
         "oracle": args.oracle == "on",
-        "fault": None,
         "suites": [{**s, "failures": s["failures"][:10]} for s in suites],
         "ok": ok,
     }
@@ -384,7 +378,7 @@ def cmd_verify(spec: AlgebraSpec, args: argparse.Namespace) -> int:
         for example in s["failures"][:3]:
             lines.append(f"  {example}")
     lines.append("OK" if ok else "FAIL")
-    _emit(obj, args.format, lines)
+    _emit(spec, obj, args.format, lines)
     return 0 if ok else 1
 
 
@@ -398,7 +392,6 @@ def cmd_ar_export(spec: AlgebraSpec, args: argparse.Namespace) -> int:
     inside = set(vertices)
     edges = [(v, t) for v in vertices for t in irreducible_targets(spec, v) if t in inside]
     obj = {
-        **_schema_header(spec),
         "window": {"a": list(a_span), "b": list(b_span)},
         "vertices": [
             {
@@ -418,7 +411,7 @@ def cmd_ar_export(spec: AlgebraSpec, args: argparse.Namespace) -> int:
     for v, t in edges:
         lines.append(f'  "{v.i},{v.a},{v.b}" -> "{t.i},{t.a},{t.b}";')
     lines.append("}")
-    _emit(obj, args.format, lines)
+    _emit(spec, obj, args.format, lines)
     return 0
 
 
@@ -455,7 +448,6 @@ def cmd_rigidity_check(spec: AlgebraSpec, args: argparse.Namespace) -> int:
             instances.append(entry)
     ok = all(entry["ok"] for entry in instances)
     obj = {
-        **_schema_header(spec),
         "window": {"a": list(window[:2]), "b": list(window[2:])},
         "seed": args.seed,
         "instances": instances,
@@ -470,7 +462,7 @@ def cmd_rigidity_check(spec: AlgebraSpec, args: argparse.Namespace) -> int:
         for violation in entry.get("violations", [])[:3]:
             lines.append(f"  {violation}")
     lines.append("OK" if ok else "FAIL")
-    _emit(obj, args.format, lines)
+    _emit(spec, obj, args.format, lines)
     return 0 if ok else 1
 
 

@@ -902,8 +902,15 @@ SCHEMA_VERSION = 1
 
 
 def _schema_header(spec: AlgebraSpec) -> dict:
-    """The ``schema`` and ``algebra`` keys that open every JSON object the package writes."""
+    """The ``schema`` and ``algebra`` keys that open every data object: a complex,
+    pseudo-identity data or a family, also inside a report.  ``cli._emit`` writes the report header."""
     return {"schema": SCHEMA_VERSION, "algebra": [spec.n, spec.m]}
+
+
+def _check_schema(obj: dict) -> None:
+    """ValueError unless obj's ``schema`` is ``SCHEMA_VERSION``; the loaders' one version check."""
+    if obj.get("schema") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema {obj.get('schema')!r}")
 
 
 def _json_ints(values, what: str, count: int | None = None) -> tuple[int, ...]:
@@ -972,12 +979,11 @@ def complex_to_obj(c: ProjComplex) -> dict:
 def complex_from_obj(obj: dict) -> ProjComplex:
     """The complex stored in obj, normalized as by ``make_complex``: a degree
     that lists no summands is dropped.  ValueError on anything malformed.
-    The version key is ``schema``; the legacy ``schema_version`` is read too."""
+    The version is read from ``schema`` alone: an object that names its
+    version under any other key is ``unsupported schema None``."""
     if not isinstance(obj, dict):
         raise ValueError("malformed complex: expected a JSON object")
-    version = obj.get("schema", obj.get("schema_version"))
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema {version!r}")
+    _check_schema(obj)
     try:
         spec = AlgebraSpec(*_json_ints(obj["algebra"], "algebra parameter", 2))
         degrees = _degree_keys(obj["degrees"], "degrees")

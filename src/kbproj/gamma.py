@@ -384,13 +384,14 @@ def projective_vertex(spec: AlgebraSpec, j: int) -> GammaVertex:
 def is_shifted_projective(spec: AlgebraSpec, v: GammaVertex) -> tuple[int, int] | None:
     """Return (j, t) with v the t-fold suspension of the projective at j.
 
-    Suspension moves the a-coordinate strictly monotonically, so walking
-    back toward a == 0 either hits a projective vertex or proves there
-    is none.
+    Suspension moves a strictly monotonically, and n of them move a and b by
+    one period n + m: so a far vertex jumps whole periods to 0 <= a < n + m,
+    then walks toward a == 0, to a projective vertex or a proof of none.
     """
     check_vertex(spec, v)
-    cur = v
-    t = 0
+    period = spec.n + spec.m
+    whole = v.a // period if abs(v.a) >= period else 0
+    cur, t = GammaVertex(v.i, v.a - whole * period, v.b - whole * period), whole * spec.n
     while cur.a > 0:
         cur = unsuspend_vertex(spec, cur)
         t += 1

@@ -49,8 +49,8 @@ from .algebra import AlgebraSpec, memoized
 from .complexes import (
     ChainMap,
     ProjComplex,
-    SCHEMA_VERSION,
     _chain_map,
+    _check_schema,
     _int_literal,
     _json_ints,
     _schema_header,
@@ -762,8 +762,7 @@ def pseudo_identity_from_obj(obj: dict) -> PseudoIdentityData:
     """The data stored in obj; ValueError on anything malformed."""
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
-    if obj.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema {obj.get('schema')!r}")
+    _check_schema(obj)
     try:
         spec = AlgebraSpec(*_json_ints(obj["algebra"], "algebra parameter", 2))
         window = _json_ints(obj["window"], "window bound", 4)

@@ -1,5 +1,5 @@
-"""Shared fixtures: the algebra list, a from-scratch path enumerator, and
-deliberate faults in the basis maps.
+"""Shared fixtures: the algebra list, a from-scratch path enumerator,
+deliberate faults in the basis maps, and ``sites``, which the AST guards use.
 
 The enumerator below rebuilds the quiver with relations directly from the
 (n, m) parameters - vertex range, one arrow into each vertex, forbidden
@@ -9,11 +9,13 @@ routes stay independent.
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import pathlib
 
 import pytest
 
-from kbproj import basismaps, gamma
+from kbproj import algebra, basismaps, gamma
 from kbproj.algebra import AlgebraSpec, successor_power
 from kbproj.complexes import clear_caches, scale_chain_map
 
@@ -101,3 +103,25 @@ def fault(name: str):
             yield
     finally:
         clear_caches()
+
+
+# -- AST guards ----------------------------------------------------------------
+
+
+def sites(hit) -> list[str]:
+    """Where the package's modules hold a node that ``hit`` accepts:
+    module.function, or the module alone."""
+    out = []
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if hit(child):
+                out.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{path.stem}.{child.name}" if inner else where)
+
+    modules = sorted(pathlib.Path(algebra.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        visit(ast.parse(path.read_text()), path.stem)
+    return out

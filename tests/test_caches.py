@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import ast
 import json
-import pathlib
 from fractions import Fraction
 
 import pytest
 
-from conftest import fault
+from conftest import fault, sites
 from kbproj import algebra, complexes, rigidity
 from kbproj.algebra import AlgebraSpec, Path, PathCombination, memo_table
 from kbproj.cli import _functoriality_checks, _suite, main
@@ -107,25 +106,6 @@ def test_clear_caches_empties_every_registered_table(capsys):
     assert all(registry[name] for name in TABLES)
     clear_caches()
     assert all(not table for table in registry.values())
-
-
-def sites(hit) -> list[str]:
-    """Where the package's modules hold a node that ``hit`` accepts:
-    module.function, or the module alone."""
-    out = []
-
-    def visit(node, where: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if hit(child):
-                out.append(where)
-            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, f"{path.stem}.{child.name}" if inner else where)
-
-    modules = sorted(pathlib.Path(algebra.__file__).parent.glob("*.py"))
-    assert len(modules) > 5
-    for path in modules:
-        visit(ast.parse(path.read_text()), path.stem)
-    return out
 
 
 def calls_memo_table(node) -> bool:

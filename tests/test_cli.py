@@ -64,7 +64,18 @@ def test_hom_quadruple_mode_with_oracle(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["dim"] == report["oracle_dim"] == 0
-    assert report["schema"] == 1
+    assert report["schema"] == 2
+    assert report["ok"] is True
+
+
+def test_hom_writes_ok_only_when_the_oracle_runs(capsys):
+    args = ("--algebra", "2,1", "hom", "--from", "(0,0,-1)", "--to", "(0,0,0)", "--format", "json")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert "ok" not in json.loads(out) and "oracle_dim" not in json.loads(out)
+    code, out, _ = run(capsys, *args, "--oracle", "on")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
 
 
 def test_hom_rejects_malformed_vertex(capsys):
@@ -215,7 +226,8 @@ def test_verify_reports_are_byte_identical(capsys):
     assert out1 == out2
     report = json.loads(out1)
     assert report["ok"] is True
-    assert report["schema"] == 1
+    assert report["schema"] == 2
+    assert "fault" not in report
     assert {s["name"] for s in report["suites"]} == {
         "dims", "basis", "functoriality", "suspension",
         "irreducibles", "triangles", "rigidity",
@@ -234,7 +246,7 @@ def test_verify_psi_sign_fault_fails_with_counterexample(capsys):
     assert code == 1
     report = json.loads(out)
     assert report["ok"] is False
-    assert report["fault"] is None
+    assert "fault" not in report
     functoriality = next(s for s in report["suites"] if s["name"] == "functoriality")
     assert functoriality["failures"]
     assert "->" in functoriality["failures"][0]
@@ -322,6 +334,17 @@ def test_rigidity_check_from_file(capsys, tmp_path):
     assert report["ok"] is True
     assert "family" in report
     assert report["instances"][0]["violations"] == []
+
+
+def test_rigidity_check_report_is_not_pseudo_identity_data(capsys, tmp_path):
+    # a report carries report schema 2; the loader reads data at schema 1 only
+    code, out, _ = run(capsys, "--algebra", "2,1", "rigidity-check", "--count", "1", "--format", "json")
+    assert code == 0
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code, out, err = run(capsys, "--algebra", "2,1", "rigidity-check", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: cannot load pseudo-identity data: unsupported schema 2\n"
 
 
 def test_rigidity_check_reports_the_window_of_loaded_data(capsys, tmp_path):

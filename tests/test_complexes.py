@@ -406,8 +406,10 @@ def test_complexes_are_written_with_the_schema_key(spec):
     assert obj["schema"] == 1 and "schema_version" not in obj
     assert complex_from_obj(obj).key() == c.key()
     assert complex_from_obj(json.loads(dumps_complex(c))) == c
+    # the legacy version key is not read: without "schema" the version is None
     legacy = {"schema_version": 1, **{k: v for k, v in obj.items() if k != "schema"}}
-    assert complex_from_obj(legacy).key() == c.key()
+    with pytest.raises(ValueError, match=r"^unsupported schema None$"):
+        complex_from_obj(legacy)
 
 
 @pytest.mark.parametrize("version", [2, 0, "1", None])
@@ -436,7 +438,7 @@ def test_a_wrong_schema_value_is_rejected(version):
 def test_loader_rejects_malformed_complexes(degrees, differentials, problem):
     degrees = "" if degrees is None else f'"degrees":{degrees},'
     text = (
-        '{"schema_version":1,"algebra":[1,0],'
+        '{"schema":1,"algebra":[1,0],'
         f'{degrees}"differentials":{differentials}}}'
     )
     with pytest.raises(ValueError, match=problem):
@@ -551,7 +553,7 @@ def test_the_loader_keeps_a_fraction_that_is_not_an_integer():
 
 def test_loader_drops_degrees_without_summands():
     spec = AlgebraSpec(1, 0)
-    head = '{"schema_version":1,"algebra":[1,0],'
+    head = '{"schema":1,"algebra":[1,0],'
     empty = loads_complex(head + '"degrees":{"0":[]},"differentials":{}}')
     assert empty.is_zero()
     assert empty.key() == zero_complex(spec).key()
@@ -571,7 +573,7 @@ def test_a_zero_differential_written_out_is_dropped():
     assert written.diffs == {}
     assert written.key() == bare.key()
     assert quotient(written, written)._core is quotient(bare, bare)._core
-    head = '{"schema_version":1,"algebra":[1,0],"degrees":{"0":[0],"1":[0]},'
+    head = '{"schema":1,"algebra":[1,0],"degrees":{"0":[0],"1":[0]},'
     loaded = loads_complex(head + '"differentials":{"0":[[[]]]}}')
     assert dumps_complex(loaded) == dumps_complex(loads_complex(head + '"differentials":{}}'))
     assert dumps_complex(loaded) == dumps_complex(bare)
@@ -588,7 +590,7 @@ def test_a_misshaped_zero_differential_is_kept():
 
 def test_loader_still_rejects_entries_into_an_empty_degree():
     text = (
-        '{"schema_version":1,"algebra":[1,0],'
+        '{"schema":1,"algebra":[1,0],'
         '"degrees":{"0":[0],"1":[]},"differentials":{"0":[[[[[0],1,1]]]]}}'
     )
     with pytest.raises(ValueError, match="malformed complex: degree 0: differential shape"):

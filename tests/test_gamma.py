@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,36 @@ def test_shifted_projective_detection():
     assert is_shifted_projective(spec, GammaVertex(1, 1, 1)) == (-1, 1)
     assert is_shifted_projective(spec, GammaVertex(0, 0, 0)) == (0, 0)
     assert is_shifted_projective(spec, GammaVertex(0, 0, 1)) is None
+
+
+@pytest.mark.parametrize("n, m", [*ALGEBRA_PARAMS, (4, 3)])
+def test_shifted_projectives_are_the_suspensions_of_projectives(n, m):
+    # every t-fold suspension of a projective, found by stepping one suspension
+    # at a time; a suspension moves a by at least 1, so |t| <= R reaches |a| <= R
+    spec, R = AlgebraSpec(n, m), 12
+    table = {}
+    for j in spec.vertices:
+        for step, sign in ((suspend_vertex, 1), (unsuspend_vertex, -1)):
+            v = projective_vertex(spec, j)
+            for t in range(R + 1):
+                table[v] = (j, sign * t)
+                v = step(spec, v)
+    for i in range(n):
+        for a in range(-R, R + 1):
+            for b in range(-R, R + 1):
+                v = GammaVertex(i, a, b)
+                if is_vertex(spec, v):
+                    assert is_shifted_projective(spec, v) == table.get(v), v
+
+
+def test_a_far_shifted_projective_is_found_by_whole_periods():
+    # n = 3 suspensions move a and b by n + m = 5, so a = 5p is t = 3p
+    spec = AlgebraSpec(3, 2)
+    start = time.perf_counter()
+    assert is_shifted_projective(spec, GammaVertex(0, 10**9, 10**9)) == (0, 6 * 10**8)
+    assert is_shifted_projective(spec, GammaVertex(0, -(10**9), -(10**9))) == (0, -6 * 10**8)
+    assert is_shifted_projective(spec, GammaVertex(1, 10**9, 10**9 + 1)) is None
+    assert time.perf_counter() - start < 0.1
 
 
 def test_theta_frozen_values():
