@@ -242,9 +242,8 @@ def shift(c: ProjComplex, t: int) -> ProjComplex:
 
 def direct_sum(a: ProjComplex, b: ProjComplex) -> ProjComplex:
     """a (+) b, a's summands first: the cone of the zero map shift(a, -1) -> b,
-    block-diagonal since the odd shift negates d_a and the cone negates it back."""
-    if a.spec != b.spec:
-        raise ValueError("direct sum across different algebras")
+    block-diagonal since the odd shift negates d_a and the cone negates it back;
+    ValueError, as for every cone, when a and b live over two algebras."""
     return mapping_cone(zero_chain_map(shift(a, -1), b))
 
 
@@ -392,7 +391,10 @@ def scale_chain_map(f: ChainMap, coeff) -> ChainMap:
 
 
 def combine_chain_maps(source: ProjComplex, target: ProjComplex, maps, coeffs) -> ChainMap:
-    """sum_j coeffs[j] maps[j], a map source -> target; coeffs is a dict j -> scalar."""
+    """sum_j coeffs[j] maps[j], a map source -> target; coeffs is a dict j -> scalar.
+    ValueError unless every map runs source -> target."""
+    if not all(_same(f.source, source) and _same(f.target, target) for f in maps):
+        raise ValueError("chain maps do not combine: sources or targets differ")
     scaled = ((exact(a * coeff), key) for j, coeff in coeffs.items() if coeff
               for a, key in _map_terms(maps[j].components, 0))
     return _chain_map(source, target, scaled)
@@ -413,10 +415,12 @@ def mapping_cone(f: ChainMap) -> ProjComplex:
     """Cone of f: C -> D; degree i is C^{i+1} (+) D^i.
 
     The differential is [[-d_C, 0], [f, d_D]] in that block layout, built by
-    ``_blocks`` from the terms of each block at its offset.  ValueError on a
-    component of f whose shape does not match the summands.
+    ``_blocks`` from the terms of each block at its offset.  ValueError across
+    two algebras, or on a component of f whose shape does not match the summands.
     """
     c, d = f.source, f.target
+    if c.spec != d.spec:
+        raise ValueError("cone across different algebras")
     for i, mat in f.components.items():
         if not _fits(mat, len(d.summand(i)), len(c.summand(i))):
             raise ValueError(f"degree {i}: component shape does not match summands")
@@ -538,9 +542,7 @@ def _homotopy_images(c: ProjComplex, d: ProjComplex, findex):
     hvars = _hom_variables(c, d, -1)
     images: list[dict[int, int | Fraction]] = [{} for _ in hvars]
     for h, key, coeff in _hom_differential(c, d, -1, enumerate(hvars)):
-        var = findex.get(key)
-        if var is not None:
-            add_entry(images[h], var, coeff)
+        add_entry(images[h], findex[key], coeff)
     return images
 
 

@@ -373,12 +373,14 @@ def unsuspend_hom(h: GammaHom) -> GammaHom:
 
 
 def projective_vertex(spec: AlgebraSpec, j: int) -> GammaVertex:
-    """Vertex presenting the indecomposable projective at quiver vertex j."""
+    """Vertex presenting the indecomposable projective at quiver vertex j.
+
+    >>> [tuple(projective_vertex(AlgebraSpec(2, 1), j)) for j in (-1, 0, 1)]
+    [(0, 0, -1), (0, 0, 0), (1, 0, 0)]
+    """
     if j not in spec.vertices:
         raise ValueError(f"{j} is not a quiver vertex")
-    if j <= 0:
-        return GammaVertex(0, 0, j)
-    return GammaVertex(j, 0, 0)
+    return GammaVertex(0, 0, j) if j <= 0 else GammaVertex(j, 0, 0)
 
 
 def is_shifted_projective(spec: AlgebraSpec, v: GammaVertex) -> tuple[int, int] | None:
@@ -387,6 +389,13 @@ def is_shifted_projective(spec: AlgebraSpec, v: GammaVertex) -> tuple[int, int] 
     Suspension moves a strictly monotonically, and n of them move a and b by
     one period n + m: so a far vertex jumps whole periods to 0 <= a < n + m,
     then walks toward a == 0, to a projective vertex or a proof of none.
+    The last test, a = 0 and b <= 0, inverts ``projective_vertex``.
+
+    >>> spec = AlgebraSpec(2, 1)
+    >>> is_shifted_projective(spec, suspend_vertex(spec, GammaVertex(0, 0, -1)))
+    (-1, 1)
+    >>> is_shifted_projective(spec, GammaVertex(0, 0, 1)) is None
+    True
     """
     check_vertex(spec, v)
     period = spec.n + spec.m
@@ -398,12 +407,8 @@ def is_shifted_projective(spec: AlgebraSpec, v: GammaVertex) -> tuple[int, int] 
     while cur.a < 0:
         cur = suspend_vertex(spec, cur)
         t -= 1
-    if cur.a != 0:
-        return None
-    if cur.i == 0 and -spec.m <= cur.b <= 0:
-        return (cur.b, t)
-    if cur.i >= 1 and cur.b == 0:
-        return (cur.i, t)
+    if cur.a == 0 and cur.b <= 0:
+        return (cur.b if cur.i == 0 else cur.i, t)
     return None
 
 

@@ -81,6 +81,7 @@ from .gamma import (
     is_isomorphism,
     is_shifted_projective,
     normal_triple,
+    projective_vertex,
     scaled,
     scaled_inverse,
     suspend_hom,
@@ -88,6 +89,7 @@ from .gamma import (
     theta_hom,
     theta_vertex,
     unsuspend_hom,
+    unsuspend_vertex,
 )
 from .linalg import exact
 from .quadruples import build_complex
@@ -222,10 +224,6 @@ class PseudoIdentityData:
     def vertices(self) -> tuple[GammaVertex, ...]:
         return conjugation_domain(self.spec, self.window)
 
-    @cached_property
-    def _keys(self) -> dict:
-        return generator_keys(self.spec, self.vertices())
-
     def image(self, kind: str, source: GammaVertex, target: GammaVertex) -> GammaHom:
         return _scaled_hom(self.spec, source, target, self._triples[kind, source, target])
 
@@ -234,16 +232,16 @@ class PseudoIdentityData:
         return tuple((key, self.image(*key)) for key in self._triples)
 
 
-def _trusted_data(spec: AlgebraSpec, window: Window, triples: dict) -> PseudoIdentityData:
-    """PseudoIdentityData from a normal triple per generator key, in key order; no checks."""
+def _trusted_data(spec: AlgebraSpec, window: Window, keys: dict, triples: dict) -> PseudoIdentityData:
+    """PseudoIdentityData from its generator_keys and a normal triple per key; no checks."""
     data = object.__new__(PseudoIdentityData)
-    vars(data).update(spec=spec, window=window, _triples=triples)
+    vars(data).update(spec=spec, window=window, _keys=keys, _triples=triples)
     return data
 
 
 def identity_data(spec: AlgebraSpec, window: Window) -> PseudoIdentityData:
     keys = generator_keys(spec, conjugation_domain(spec, window))
-    return _trusted_data(spec, window, {key: _GENERATORS[key[0]] for key in keys})
+    return _trusted_data(spec, window, keys, {key: _GENERATORS[key[0]] for key in keys})
 
 
 def conjugation_data(
@@ -264,8 +262,9 @@ def conjugation_data(
             raise ValueError("the unit family has an entry that is not an automorphism of its vertex")
         units[v] = scaled(h)
     inverses = {v: scaled_inverse(*triple) for v, triple in units.items()}
+    keys = generator_keys(spec, domain)
     triples = {}
-    for key, (in_f, in_g) in generator_keys(spec, domain).items():
+    for key, (in_f, in_g) in keys.items():
         kind, source, target = key
         fi, gi, di = inverses[source]
         fu, gu, du = units[target]
@@ -273,7 +272,7 @@ def conjugation_data(
         f, g = compose_coeffs(f, g, fi, gi, in_f, in_g)
         f, g = compose_coeffs(fu, gu, f, g, in_f, in_g)
         triples[key] = normal_triple(f, g, du * di)
-    return _trusted_data(spec, window, triples)
+    return _trusted_data(spec, window, keys, triples)
 
 
 def _random_fraction(rng: Random, nonzero: bool) -> Fraction:
@@ -418,8 +417,8 @@ def _seed(
 def construct_conjugation(F: PseudoIdentityData) -> AutomorphismFamily:
     """The inductive family phi with phi_U o F(f_{U,V}) = f_{U,V} o phi_V.
 
-    Starts from the identity on the projective column a = 0, walks up
-    that column, seeds each column to the right through the bottom
+    Starts from the identity at each ``projective_vertex``, walks up the
+    column a = 0, seeds each column to the right through the bottom
     diagonal and walks it up, then mirrors the sweep to the left of the
     projectives (bottom and next-to-bottom seeds first, then up).  The
     sweep runs on triples; each entry becomes a GammaHom once, at the end.
@@ -427,11 +426,9 @@ def construct_conjugation(F: PseudoIdentityData) -> AutomorphismFamily:
     """
     spec = F.spec
     a_lo, a_hi, b_lo, b_hi = F.window
-    phi: dict[GammaVertex, tuple[int, int, int]] = {}
+    phi = {projective_vertex(spec, j): _GENERATORS["f"] for j in spec.vertices}
     for i in range(spec.n):
         delta = _delta_top(spec, i)
-        for b in range(-delta, 1):
-            phi[GammaVertex(i, 0, b)] = _GENERATORS["f"]
         for b in range(0, b_hi):
             _seed(F, phi, GammaVertex(i, 0, b), GammaVertex(i, 0, b + 1), left=True)
         for a in range(0, min(a_hi, b_hi + delta)):
@@ -532,7 +529,7 @@ def _suspension_comparison(spec: AlgebraSpec, v: GammaVertex) -> ChainMap:
 def standard_triangle(spec: AlgebraSpec, v: GammaVertex) -> StandardTriangle:
     """The exact triangle V -> U -> W -> suspension of V on the vertex grid.
 
-    U raises b by one and W is the bottom vertex of column b + 1.  The
+    U raises b by one and W, the mouth of row b + 1, is the bottom of column b + 1 + delta.  The
     composite of the two f generators is zero, and the cone of the first
     chain map is certified isomorphic to the complex of W: the fill-in that
     ``homotopy_factor`` finds through the second is nonzero and has a
@@ -639,8 +636,11 @@ def coniso_normal_form(spec: AlgebraSpec, omega: ConnectingIsoData) -> ConisoRep
     mu_V = 0: the bottom vertex has no surviving generator, and each
     step up the column transports the coefficient along the vertical
     generator, which is nonzero there.  With one loop and no relations
-    nothing is forced and the data is deferred to build_eta.
+    nothing is forced and the data is deferred to build_eta.  ValueError
+    when omega is over another algebra.
     """
+    if omega.spec != spec:
+        raise ValueError("connecting data from a different algebra")
     forced = []
     free = []
     conflicts = []
@@ -675,39 +675,31 @@ def eta_domain(spec: AlgebraSpec, window: Window) -> tuple[GammaVertex, ...]:
 def build_eta(spec: AlgebraSpec, omega: ConnectingIsoData) -> AutomorphismFamily:
     """The eta family trivializing a connecting isomorphism for one loop, no relations.
 
-    eta is the identity on the column a = 0 and is propagated along
-    suspension orbits: ascending by suspending the previous eta and
-    composing with the given omega, descending by the inverse recipe.
-    Naturality against every generator between data vertices and the
-    telescoping identity (suspended eta, then omega, then the inverse
-    of eta at the suspension composing to the identity) are verified
-    before the family is returned.
+    eta is the identity on the column a = 0 and is built out along
+    suspension orbits in order of |a|, each entry from the one a step nearer
+    a = 0: suspending its eta and composing with omega above, the inverse
+    recipe below.  Naturality against every generator between data vertices
+    and the telescoping identity (suspended eta, then omega, then the
+    inverse of eta at the suspension composing to the identity) are verified
+    before the family is returned.  ValueError on omega over another algebra.
     """
     if spec.n != 1 or spec.m != 0:
         raise ValueError("eta families only exist for one loop and no relations")
+    if omega.spec != spec:
+        raise ValueError("connecting data from a different algebra")
     domain = omega.vertices()
-    available = set(domain)
     eta: dict[GammaVertex, GammaHom] = {}
-
-    def build(vertex: GammaVertex) -> GammaHom:
-        if vertex in eta:
-            return eta[vertex]
-        if vertex not in available:
-            raise ValueError(f"data window is not closed under suspension at {tuple(vertex)}")
+    for vertex in sorted(domain, key=lambda v: abs(v.a)):
+        near = unsuspend_vertex(spec, vertex) if vertex.a > 0 else suspend_vertex(spec, vertex)
         if vertex.a == 0:
-            result = identity_hom(spec, vertex)
+            eta[vertex] = identity_hom(spec, vertex)
+        elif near not in eta:
+            raise ValueError(f"data window is not closed under suspension at {tuple(near)}")
         elif vertex.a > 0:
-            previous = GammaVertex(0, vertex.a - 1, vertex.b - 1)
-            result = gamma_compose(suspend_hom(build(previous)), omega.omega_hom(previous))
+            eta[vertex] = gamma_compose(suspend_hom(eta[near]), omega.omega_hom(near))
         else:
-            above = suspend_vertex(spec, vertex)
-            inner = gamma_compose(build(above), invert_hom(omega.omega_hom(vertex)))
-            result = unsuspend_hom(inner)
-        eta[vertex] = result
-        return result
-
-    for vertex in domain:
-        build(vertex)
+            inverse = invert_hom(omega.omega_hom(vertex))
+            eta[vertex] = unsuspend_hom(gamma_compose(eta[near], inverse))
     entries = {v: scaled(h) for v, h in eta.items()}
     keys = generator_keys(spec, domain)
     generators = {key: _GENERATORS[key[0]] for key in keys}
@@ -715,7 +707,7 @@ def build_eta(spec: AlgebraSpec, omega: ConnectingIsoData) -> AutomorphismFamily
         raise ValueError(f"eta is not natural at {kind} {tuple(source)} -> {tuple(target)}")
     for vertex in domain:
         sv = suspend_vertex(spec, vertex)
-        if sv not in available:
+        if sv not in eta:
             continue
         corrected = gamma_compose(
             suspend_hom(eta[vertex]),

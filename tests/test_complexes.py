@@ -23,6 +23,7 @@ from kbproj.algebra import AlgebraSpec, Path, PathCombination, hom_basis_proj, m
 from kbproj.complexes import (
     ChainMap,
     add_chain_maps,
+    combine_chain_maps,
     complex_from_obj,
     complex_to_obj,
     compose_chain_maps,
@@ -326,6 +327,37 @@ def test_cone_triangle_pieces_compose_to_zero(spec):
                 assert validate_chain_map(proj) is None
                 assert is_null_homotopic(compose_chain_maps(inc, f))
                 assert is_null_homotopic(compose_chain_maps(proj, inc))
+
+
+def test_cones_reject_a_map_across_two_algebras():
+    # such a cone would hold the target's vertices over the source's algebra
+    c = stalk_complex(AlgebraSpec(2, 1), -1)
+    d = stalk_complex(AlgebraSpec(3, 2), 2)
+    for f in (zero_chain_map(c, d), zero_chain_map(d, c)):
+        for cone in (mapping_cone, cone_maps):
+            with pytest.raises(ValueError) as raised:
+                cone(f)
+            assert str(raised.value) == "cone across different algebras"
+    for a, b in ((c, d), (d, c)):
+        with pytest.raises(ValueError) as raised:
+            direct_sum(a, b)
+        assert str(raised.value) == "cone across different algebras"
+
+
+def test_combinations_only_of_maps_between_their_own_ends():
+    spec = AlgebraSpec(2, 1)
+    c = build_complex(spec, Quadruple(0, 0, 1, 1))
+    d = build_complex(spec, Quadruple(0, 0, 2, 0))
+    basis = hom_space(c, c).basis
+    # the sum of C's endomorphisms read as a map D -> D does not commute with D's differential
+    for source, target in ((d, d), (c, d), (d, c)):
+        with pytest.raises(ValueError) as raised:
+            combine_chain_maps(source, target, basis, {0: 1})
+        assert str(raised.value) == "chain maps do not combine: sources or targets differ"
+    # equal ends that are different objects still combine
+    again = loads_complex(dumps_complex(c))
+    assert again is not c
+    assert combine_chain_maps(again, again, basis, {0: 1}).key() == basis[0].key()
 
 
 def test_homotopy_rank_counts_modulo_null_maps():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import fractions
 import json
+import re
 import sys
 from fractions import Fraction
 from random import Random
@@ -31,6 +32,7 @@ from kbproj.gamma import (
     identity_hom,
     in_G,
     invert_hom,
+    projective_vertex,
     scaled,
     suspend_vertex,
 )
@@ -70,6 +72,21 @@ def test_domain_covers_window_with_seeding_pads(spec):
             for b in range(-2, 3):
                 if a <= b + delta:
                     assert GammaVertex(i, a, b) in vertices
+
+
+def test_trusted_data_holds_the_memoized_generator_keys(spec):
+    keys = generator_keys(spec, conjugation_domain(spec, WINDOW))
+    for data in (identity_data(spec, WINDOW), random_pseudo_identity(spec, WINDOW, 5)):
+        assert vars(data)["_keys"] is keys
+        assert data._keys is keys
+
+
+def test_conjugation_is_the_identity_at_every_projective(spec):
+    for seed in range(3):
+        phi = construct_conjugation(random_pseudo_identity(spec, WINDOW, seed))
+        for j in spec.vertices:
+            v = projective_vertex(spec, j)
+            assert phi[v] == identity_hom(spec, v)
 
 
 def test_identity_data_passes_validation(spec):
@@ -368,6 +385,32 @@ def test_build_eta_trivializes_any_connecting_data():
     eta = build_eta(spec, flat)
     for v in domain:
         assert eta[v] == identity_hom(spec, v)
+
+
+@pytest.mark.parametrize("gap", [GammaVertex(0, 1, 1), GammaVertex(0, -1, -1)])
+def test_build_eta_names_the_vertex_missing_from_an_orbit(gap):
+    # (0, 2, 2) is built from (0, 1, 1) above a = 0, (0, -2, -2) from (0, -1, -1) below
+    spec = AlgebraSpec(1, 0)
+    domain = tuple(v for v in eta_domain(spec, (-2, 2, -2, 2)) if v != gap)
+    omega = ConnectingIsoData(spec, tuple((v, Fraction(1)) for v in domain))
+    message = f"data window is not closed under suspension at {tuple(gap)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_eta(spec, omega)
+
+
+def test_connecting_data_over_another_algebra_is_rejected():
+    # data over L(1, 0) has no answer for L(1, 1), nor the other way round
+    loop, other = AlgebraSpec(1, 0), AlgebraSpec(1, 1)
+    domain = eta_domain(loop, (-1, 1, -1, 1))
+    data = {s: ConnectingIsoData(s, tuple((v, Fraction(1)) for v in domain)) for s in (loop, other)}
+    for call, spec, omega in (
+        (coniso_normal_form, other, data[loop]),
+        (coniso_normal_form, loop, data[other]),
+        (build_eta, loop, data[other]),
+    ):
+        with pytest.raises(ValueError) as raised:
+            call(spec, omega)
+        assert str(raised.value) == "connecting data from a different algebra"
 
 
 def test_build_eta_requires_closed_window():
